@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"squall"
@@ -167,19 +168,23 @@ func TestFigure5StagesOrdering(t *testing.T) {
 	if len(stages) != 5 {
 		t.Fatalf("stages = %d", len(stages))
 	}
+	// Minimum over repetitions, interleaved across stages (date, int, ...,
+	// date, int, ...) so a burst of host load hits every stage alike
+	// instead of one stage's whole series. Every run starts from a
+	// collected heap: each round allocates the same amount, so without it
+	// the GC cycles fall on the same stage round after round.
 	durs := map[string]float64{}
-	for _, s := range stages {
-		best := 1e18
-		for rep := 0; rep < 3; rep++ { // min-of-3 to de-noise
+	for rep := 0; rep < 9; rep++ {
+		for _, s := range stages {
+			runtime.GC()
 			d, err := s.Run()
 			if err != nil {
 				t.Fatalf("%s: %v", s.Name, err)
 			}
-			if sec := d.Seconds(); sec < best {
-				best = sec
+			if best, ok := durs[s.Name]; !ok || d.Seconds() < best {
+				durs[s.Name] = d.Seconds()
 			}
 		}
-		durs[s.Name] = best
 	}
 	if durs["RF+sel(date)"] <= durs["RF+sel(int)"] {
 		t.Errorf("date selection (%.4fs) must cost more than int selection (%.4fs)",

@@ -252,31 +252,7 @@ func TestAggJoinMatchesTraditionalAggregation(t *testing.T) {
 	for i := range rels {
 		rels[i] = genRel(r, 20, 2, 4)
 	}
-	trad := localjoin.NewTraditional(g)
-	agg, err := NewAggJoin(g, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := newAggReference()
-	deltaRef := newAggReference()
-	for _, e := range shuffled(r, rels) {
-		dt, err := trad.OnTuple(e.rel, e.t)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range dt {
-			ref.add(t, d, groupBy, sum)
-			deltaRef.add(t, d, groupBy, sum)
-		}
-		da, err := agg.OnTuple(e.rel, e.t)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Per-arrival deltas must match the traditional deltas exactly.
-		checkAggEqual(t, deltaRef, da)
-		deltaRef = newAggReference()
-	}
-	checkAggEqual(t, ref, agg.Result())
+	runAgainstTraditional(t, g, spec, shuffled(r, rels))
 }
 
 func TestAggJoinCountOnly(t *testing.T) {
@@ -284,25 +260,7 @@ func TestAggJoinCountOnly(t *testing.T) {
 	spec := AggSpec{GroupBy: []ColRef{{Rel: 0, E: expr.C(0)}}, Kind: AggCount}
 	r := rand.New(rand.NewSource(19))
 	rels := [][]types.Tuple{genRel(r, 30, 2, 4), genRel(r, 30, 2, 4), genRel(r, 30, 2, 4)}
-	trad := localjoin.NewTraditional(g)
-	agg, err := NewAggJoin(g, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := newAggReference()
-	for _, e := range shuffled(r, rels) {
-		dt, err := trad.OnTuple(e.rel, e.t)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range dt {
-			ref.add(t, d, spec.GroupBy, nil)
-		}
-		if _, err := agg.OnTuple(e.rel, e.t); err != nil {
-			t.Fatal(err)
-		}
-	}
-	checkAggEqual(t, ref, agg.Result())
+	agg := runAgainstTraditional(t, g, spec, shuffled(r, rels))
 	if agg.MemSize() <= 0 {
 		t.Error("MemSize must be positive")
 	}
@@ -387,8 +345,8 @@ func TestDBToasterCheaperPerProbe(t *testing.T) {
 		t.Fatalf("count = %v, want %d", res, n*n*n)
 	}
 	// The {R,S} view must hold ONE signature (boundary z=1), not n^2 combos.
-	if agg.views[0b011] == nil || len(agg.views[0b011].entries) != 1 {
-		t.Errorf("RS view entries = %d, want 1 (aggregated)", len(agg.views[0b011].entries))
+	if agg.views[0b011] == nil || len(agg.views[0b011].acc) != 1 {
+		t.Errorf("RS view entries = %d, want 1 (aggregated)", len(agg.views[0b011].acc))
 	}
 }
 

@@ -21,9 +21,11 @@
 // a fixed-stride array of 32-bit refs into them — an n-way combo costs 4n
 // bytes instead of n boxed tuple headers — with open-addressing RefHash
 // indexes on the boundary conjuncts. NewTupleJoinMap keeps the pre-slab
-// layout as the opt-out baseline. AggJoin stays map-backed by design: its
-// state scales with distinct signatures, not stored tuples, so the slab
-// trade (decode-on-probe for packed rows) does not pay there.
+// layout as the opt-out baseline. AggJoin state is flat too: each view
+// interns its signatures as wire-encoded rows in a slab.KeyTable with
+// pointer-free count/sum slots, and per-relation probe indexes over the
+// probe-key bytes. Delta signatures are spliced from encoded field bytes,
+// so nothing is decoded on probe.
 package dbtoaster
 
 import (

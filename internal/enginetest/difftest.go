@@ -63,17 +63,84 @@ func RandomWorkload(seed int64, numRels, rowsPerRel, keyDomain int, withTheta bo
 // raw relations: the oracle every engine configuration must match.
 func (w *Workload) ReferenceBag() map[string]int {
 	bag := map[string]int{}
+	w.eachJoined(func(assigned []types.Tuple) {
+		row := make(types.Tuple, 0, 3*len(assigned))
+		for _, t := range assigned {
+			row = append(row, t...)
+		}
+		bag[row.Key()]++
+	})
+	return bag
+}
+
+// AggCell is one group of an aggregate result: its COUNT(*) and SUM.
+type AggCell struct {
+	Cnt int64
+	Sum float64
+}
+
+// ReferenceAgg aggregates the nested-loop join by agg's group-by columns —
+// the oracle for aggregate views. Groups are keyed by types.Tuple.Key of
+// their values; Sum is filled when agg has a SUM expression.
+func (w *Workload) ReferenceAgg(agg *squall.AggSpec) map[string]AggCell {
+	out := map[string]AggCell{}
+	w.eachJoined(func(assigned []types.Tuple) {
+		g := make(types.Tuple, len(agg.GroupBy))
+		for i, c := range agg.GroupBy {
+			g[i] = expr.MustEval(c.E, assigned[c.Rel])
+		}
+		cell := out[g.Key()]
+		cell.Cnt++
+		if agg.Sum != nil {
+			f, _ := expr.MustEval(agg.Sum.E, assigned[agg.Sum.Rel]).AsFloat()
+			cell.Sum += f
+		}
+		out[g.Key()] = cell
+	})
+	return out
+}
+
+// RunAgg executes one configuration with agg on top of the join and returns
+// its groups, keyed like ReferenceAgg: (group..., COUNT) rows fill Cnt,
+// (group..., SUM) rows fill Sum.
+func (w *Workload) RunAgg(c EngineConfig, agg *squall.AggSpec) (map[string]AggCell, *squall.Result, error) {
+	q, opts := w.Plan(c)
+	q.Agg = agg
+	res, err := q.Run(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := map[string]AggCell{}
+	ng := len(agg.GroupBy)
+	for _, r := range res.Rows {
+		if len(r) != ng+1 {
+			return nil, nil, fmt.Errorf("result row %v: want %d group columns and the aggregate", r, ng)
+		}
+		k := r[:ng].Key()
+		if _, dup := out[k]; dup {
+			return nil, nil, fmt.Errorf("group %v emitted twice", r[:ng])
+		}
+		var cell AggCell
+		if agg.Kind == squall.Count {
+			cell.Cnt = r[ng].I
+		} else {
+			cell.Sum, _ = r[ng].AsFloat()
+		}
+		out[k] = cell
+	}
+	return out, res, nil
+}
+
+// eachJoined enumerates the join with a nested loop, calling fn with one
+// tuple per relation for every joined combination.
+func (w *Workload) eachJoined(fn func(assigned []types.Tuple)) {
 	n := w.Graph.NumRels
 	assigned := make([]types.Tuple, n)
 	full := (uint64(1) << n) - 1
 	var rec func(rel int)
 	rec = func(rel int) {
 		if rel == n {
-			row := make(types.Tuple, 0, 3*n)
-			for _, t := range assigned {
-				row = append(row, t...)
-			}
-			bag[row.Key()]++
+			fn(assigned)
 			return
 		}
 		mask := (uint64(1) << (rel + 1)) - 1
@@ -90,7 +157,6 @@ func (w *Workload) ReferenceBag() map[string]int {
 		assigned[rel] = nil
 	}
 	rec(0)
-	return bag
 }
 
 // EngineConfig is one point of the differential matrix.

@@ -311,9 +311,11 @@ func (b *joinBolt) ImportState(side int, tuples []types.Tuple) error {
 }
 
 // AggJoinBolt runs the aggregate-view DBToaster operator (HyLD with a final
-// aggregation pushed into the joiner). Each task emits partial rows
+// aggregation pushed into the joiner). Each task emits encoded partial rows
 // (group..., cnt, sum) on Finish; route them to MergeBolt via Fields on the
-// group columns (or Global for a single merger).
+// group columns (or Global for a single merger). The bolt is frame-capable
+// (dataflow.RowBolt): packed arrivals feed AggJoin.OnRow without decoding,
+// and boxed ones are encoded once and take the same path.
 //
 // With incremental set, a partial delta row is emitted on every update
 // instead — full online semantics.
@@ -329,9 +331,16 @@ type aggJoinBolt struct {
 	err         error
 	relOf       map[string]int
 	incremental bool
+	out         *dataflow.Collector
+	emitFn      func(row []byte) error // bound once: the hot path allocates nothing
+	enc         []byte
+	encCur      wire.Cursor
 }
 
-func (b *aggJoinBolt) Execute(in dataflow.Input, out *dataflow.Collector) error {
+var _ dataflow.RowBolt = (*aggJoinBolt)(nil)
+
+// ExecuteRow feeds one encoded arrival through the aggregate views.
+func (b *aggJoinBolt) ExecuteRow(in dataflow.RowInput, out *dataflow.Collector) error {
 	if b.err != nil {
 		return b.err
 	}
@@ -339,20 +348,24 @@ func (b *aggJoinBolt) Execute(in dataflow.Input, out *dataflow.Collector) error 
 	if !ok {
 		return fmt.Errorf("ops: agg join bolt has no relation for stream %q", in.Stream)
 	}
-	deltas, err := b.a.OnTuple(rel, in.Tuple)
-	if err != nil {
+	if !b.incremental {
+		return b.a.OnRow(rel, in.Cur, nil)
+	}
+	if b.emitFn == nil {
+		b.emitFn = func(row []byte) error { return b.out.EmitRow(row) }
+	}
+	b.out = out
+	return b.a.OnRow(rel, in.Cur, b.emitFn)
+}
+
+// Execute handles tuple-path deliveries by encoding once and reusing the
+// row path, so both paths emit the same encoded partials.
+func (b *aggJoinBolt) Execute(in dataflow.Input, out *dataflow.Collector) error {
+	b.enc = wire.Encode(b.enc[:0], in.Tuple)
+	if err := b.encCur.Reset(b.enc); err != nil {
 		return err
 	}
-	if !b.incremental {
-		return nil
-	}
-	for _, d := range deltas {
-		row := append(d.Group.Clone(), types.Int(d.Cnt), types.Float(d.Sum))
-		if err := out.Emit(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.ExecuteRow(dataflow.RowInput{Stream: in.Stream, FromTask: in.FromTask, Row: b.enc, Cur: &b.encCur}, out)
 }
 
 func (b *aggJoinBolt) Finish(out *dataflow.Collector) error {
@@ -362,13 +375,7 @@ func (b *aggJoinBolt) Finish(out *dataflow.Collector) error {
 	if b.incremental {
 		return nil
 	}
-	for _, d := range b.a.Result() {
-		row := append(d.Group.Clone(), types.Int(d.Cnt), types.Float(d.Sum))
-		if err := out.Emit(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.a.EachResult(out.EmitRow)
 }
 
 func (b *aggJoinBolt) MemSize() int {

@@ -7,12 +7,10 @@
 package ops
 
 import (
-	"bytes"
 	"fmt"
 
 	"squall/internal/dataflow"
 	"squall/internal/expr"
-	"squall/internal/index"
 	"squall/internal/slab"
 	"squall/internal/types"
 	"squall/internal/vec"
@@ -224,10 +222,10 @@ type groupState struct {
 	sum   float64
 }
 
-// groupAcc is one group's accumulator in the compact layout: the group key
-// lives as a wire-encoded row in the shared arena, addressed by ref.
+// groupAcc is one group's accumulator in the compact layout; its index is
+// the group's slot in the key table, where the group key lives as a
+// wire-encoded row.
 type groupAcc struct {
-	ref slab.Ref
 	cnt int64
 	sum float64
 }
@@ -238,20 +236,19 @@ type groupAcc struct {
 // aggregate row is emitted on every update (online view maintenance).
 //
 // The group table defaults to the compact slab layout (PR 3): group keys are
-// wire-encoded rows in a slab.Arena, probed through an open-addressing
-// index.RefHash on the hash of the encoded bytes and verified by byte
-// equality — exact (two groups are one iff their encodings match, the same
-// identity the old string keys had) with zero allocations per update. The
-// pre-slab map layout survives behind NewMapAgg as the opt-out baseline.
+// wire-encoded rows interned in a slab.KeyTable (hash of the encoded bytes,
+// verified by byte equality) — exact (two groups are one iff their encodings
+// match, the same identity the old string keys had) with zero allocations
+// per update. The pre-slab map layout survives behind NewMapAgg as the
+// opt-out baseline.
 type Agg struct {
 	GroupBy     []expr.Expr
 	Kind        AggKind
 	SumE        expr.Expr // required for Sum/Avg
 	Incremental bool
 
-	// compact layout
-	arena  *slab.Arena
-	idx    *index.RefHash
+	// compact layout: states[slot] accumulates the group interned at slot
+	keys   slab.KeyTable
 	states []groupAcc
 
 	// map layout
@@ -278,8 +275,7 @@ type Agg struct {
 // NewAgg copies the configuration into a fresh accumulator with the compact
 // group table.
 func NewAgg(groupBy []expr.Expr, kind AggKind, sumE expr.Expr, incremental bool) *Agg {
-	return &Agg{GroupBy: groupBy, Kind: kind, SumE: sumE, Incremental: incremental,
-		arena: slab.New(), idx: index.NewRefHash()}
+	return &Agg{GroupBy: groupBy, Kind: kind, SumE: sumE, Incremental: incremental}
 }
 
 // NewMapAgg builds the accumulator with the pre-slab map group table — the
@@ -323,25 +319,26 @@ func (a *Agg) Update(t types.Tuple, cnt int64, sum float64) (types.Tuple, error)
 		return a.rowOf(st.group, st.cnt, st.sum), nil
 	}
 	a.sBuf = wire.Encode(a.sBuf[:0], g)
-	st := a.bumpEncoded(cnt, sum)
+	slot := a.bumpEncoded(cnt, sum)
 	if !a.Incremental {
 		return nil, nil
 	}
-	a.sRow = a.arena.DecodeInto(a.sRow, st.ref)
+	a.sRow = a.keys.Decode(a.sRow, slot)
+	st := &a.states[slot]
 	return a.rowOf(a.sRow, st.cnt, st.sum), nil
 }
 
 // bumpEncoded folds (cnt, sum) into the group whose wire-encoded key sits
-// in a.sBuf: hash the encoded bytes, probe the open-addressing index with
-// byte-equality verification, blit a new group row on first appearance.
-// Shared by the boxed path (which encodes the evaluated key) and the packed
-// path (which splices the key fields straight off the incoming row — the
-// encodings are byte-identical, so the two paths share one table).
-func (a *Agg) bumpEncoded(cnt int64, sum float64) *groupAcc {
-	st := &a.states[a.slotFor(a.sBuf)]
+// in a.sBuf and returns its slot. Shared by the boxed path (which encodes
+// the evaluated key) and the packed path (which splices the key fields
+// straight off the incoming row — the encodings are byte-identical, so the
+// two paths share one table).
+func (a *Agg) bumpEncoded(cnt int64, sum float64) int {
+	slot := a.slotFor(a.sBuf)
+	st := &a.states[slot]
 	st.cnt += cnt
 	st.sum += sum
-	return st
+	return slot
 }
 
 // slotFor returns the accumulator slot of the group whose wire-encoded key
@@ -349,19 +346,9 @@ func (a *Agg) bumpEncoded(cnt int64, sum float64) *groupAcc {
 // (FoldFrame) uses it directly to resolve all of a frame's keys in one pass
 // before bumping accumulators in a second.
 func (a *Agg) slotFor(key []byte) int {
-	h := index.BytesHash(key)
-	slot := -1
-	a.idx.Each(h, func(ref uint32) bool {
-		if bytes.Equal(a.arena.RowBytes(a.states[ref].ref), key) {
-			slot = int(ref)
-			return false
-		}
-		return true
-	})
-	if slot < 0 {
-		slot = len(a.states)
-		a.states = append(a.states, groupAcc{ref: a.arena.AppendEncoded(key)})
-		a.idx.Insert(h, uint32(slot))
+	slot, added := a.keys.Intern(key)
+	if added {
+		a.states = append(a.states, groupAcc{})
 	}
 	return slot
 }
@@ -486,7 +473,7 @@ func (a *Agg) Rows() []types.Tuple {
 	out := make([]types.Tuple, 0, len(a.states))
 	for i := range a.states {
 		st := &a.states[i]
-		out = append(out, a.rowOf(a.arena.Decode(st.ref), st.cnt, st.sum))
+		out = append(out, a.rowOf(a.keys.Decode(nil, i), st.cnt, st.sum))
 	}
 	return out
 }
@@ -504,7 +491,7 @@ func (a *Agg) MemSize() int {
 	if a.groups != nil {
 		return a.mem + 48
 	}
-	return a.arena.MemSize() + a.idx.MemSize() + 24*cap(a.states) + 48
+	return a.keys.MemSize() + 16*cap(a.states) + 48
 }
 
 // aggBolt adapts Agg to the dataflow engine.

@@ -3,6 +3,7 @@ package ops
 import (
 	"math"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"squall/internal/dataflow"
@@ -154,8 +155,29 @@ func TestJoinBoltTraditionalAndDBToasterAgree(t *testing.T) {
 	}
 }
 
+// pathCounter wraps a row-capable bolt and counts which entry point the
+// executor drove: ExecuteRow (packed frames) or Execute (boxed tuples).
+type pathCounter struct {
+	dataflow.Bolt
+	rows, tuples *atomic.Int64
+}
+
+func (p pathCounter) Execute(in dataflow.Input, out *dataflow.Collector) error {
+	p.tuples.Add(1)
+	return p.Bolt.Execute(in, out)
+}
+
+func (p pathCounter) ExecuteRow(in dataflow.RowInput, out *dataflow.Collector) error {
+	p.rows.Add(1)
+	return p.Bolt.(dataflow.RowBolt).ExecuteRow(in, out)
+}
+
+// TestAggJoinBoltWithMerge runs COUNT(*) GROUP BY R.y over R ⋈ S on y with
+// parallel joiners and one merger, once from packed sources (frames reach
+// the joiner's ExecuteRow) and once from boxed ones (tuples reach Execute):
+// both paths must produce the same rows. The incremental variant compares
+// the per-group totals of the partials the joiners emit on every update.
 func TestAggJoinBoltWithMerge(t *testing.T) {
-	// COUNT(*) GROUP BY R.y over R ⋈ S on y, parallel joiners + one merger.
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
 	spec := dbtoaster.AggSpec{
 		GroupBy: []dbtoaster.ColRef{{Rel: 0, E: expr.C(0)}},
@@ -166,32 +188,81 @@ func TestAggJoinBoltWithMerge(t *testing.T) {
 		r = append(r, types.Tuple{types.Int(int64(i % 5))})
 		s = append(s, types.Tuple{types.Int(int64(i % 5))})
 	}
-	sink := dataflow.NewGather()
-	topo, err := dataflow.NewBuilder().
-		Spout("R", 2, dataflow.SliceSpout(r)).
-		Spout("S", 2, dataflow.SliceSpout(s)).
-		Bolt("join", 4, AggJoinBolt(g, spec, map[string]int{"R": 0, "S": 1}, false)).
-		Bolt("merge", 1, MergeBolt(1, Count, false, false, false)).
-		Bolt("sink", 1, sink.Factory()).
-		Input("join", "R", dataflow.Fields(0)).
-		Input("join", "S", dataflow.Fields(0)).
-		Input("merge", "join", dataflow.Global()).
-		Input("sink", "merge", dataflow.Global()).
-		Build()
-	if err != nil {
-		t.Fatal(err)
+	run := func(t *testing.T, packed, incremental bool) []types.Tuple {
+		var rows, tuples atomic.Int64
+		join := AggJoinBolt(g, spec, map[string]int{"R": 0, "S": 1}, incremental)
+		counted := func(task, ntasks int) dataflow.Bolt {
+			return pathCounter{Bolt: join(task, ntasks), rows: &rows, tuples: &tuples}
+		}
+		rs, ss := dataflow.SliceSpout(r), dataflow.SliceSpout(s)
+		if packed {
+			rs, ss = PackedSpout(rs, nil), PackedSpout(ss, nil)
+		}
+		sink := dataflow.NewGather()
+		b := dataflow.NewBuilder().
+			Spout("R", 2, rs).
+			Spout("S", 2, ss).
+			Bolt("join", 4, counted).
+			Bolt("sink", 1, sink.Factory()).
+			Input("join", "R", dataflow.Fields(0)).
+			Input("join", "S", dataflow.Fields(0))
+		if incremental {
+			b.Input("sink", "join", dataflow.Global())
+		} else {
+			b.Bolt("merge", 1, MergeBolt(1, Count, false, false, false)).
+				Input("merge", "join", dataflow.Global()).
+				Input("sink", "merge", dataflow.Global())
+		}
+		topo, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dataflow.Run(topo, dataflow.Options{Seed: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if packed && (rows.Load() != 80 || tuples.Load() != 0) {
+			t.Fatalf("packed: %d row / %d tuple deliveries, want 80 / 0", rows.Load(), tuples.Load())
+		}
+		if !packed && (tuples.Load() != 80 || rows.Load() != 0) {
+			t.Fatalf("boxed: %d tuple / %d row deliveries, want 80 / 0", tuples.Load(), rows.Load())
+		}
+		if !incremental {
+			return sink.SortedRows()
+		}
+		// Per-update partials depend on arrival order; their per-group
+		// totals do not.
+		cnt := map[int64]int64{}
+		for _, row := range sink.Rows() {
+			if len(row) != 3 || row[1].Kind() != types.KindInt || row[2].Kind() != types.KindFloat {
+				t.Fatalf("partial %v is not (group, cnt INT, sum FLOAT)", row)
+			}
+			cnt[row[0].I] += row[1].I
+		}
+		var totals []types.Tuple
+		for g, n := range cnt {
+			totals = append(totals, types.Tuple{types.Int(g), types.Int(n)})
+		}
+		sortRows(totals)
+		return totals
 	}
-	if _, err := dataflow.Run(topo, dataflow.Options{Seed: 4}); err != nil {
-		t.Fatal(err)
-	}
-	rows := sink.SortedRows()
-	if len(rows) != 5 {
-		t.Fatalf("groups = %v", rows)
-	}
-	for _, row := range rows {
-		// Each key appears 8x in R and 8x in S: count 64.
-		if row[1].I != 64 {
-			t.Errorf("group %v count = %v, want 64", row[0], row[1])
+	for _, incremental := range []bool{false, true} {
+		packed, boxed := run(t, true, incremental), run(t, false, incremental)
+		if len(packed) != len(boxed) {
+			t.Fatalf("incremental=%v: packed path %d rows, boxed path %d", incremental, len(packed), len(boxed))
+		}
+		for i := range packed {
+			if !packed[i].Equal(boxed[i]) {
+				t.Fatalf("incremental=%v: row %d: packed %v, boxed %v", incremental, i, packed[i], boxed[i])
+			}
+		}
+		if len(packed) != 5 {
+			t.Fatalf("groups = %v", packed)
+		}
+		for _, row := range packed {
+			// Each key appears 8x in R and 8x in S: count 64.
+			if row[1].I != 64 {
+				t.Errorf("group %v count = %v, want 64", row[0], row[1])
+			}
 		}
 	}
 }
