@@ -20,6 +20,21 @@ import (
 // benchFileExec is where `-json exec` records the PR 5 numbers.
 const benchFileExec = "BENCH_PR5.json"
 
+// benchTuple synthesizes a TPC-H-ish row: int key, date string, float, tag.
+func benchTuple(key int64, i int) types.Tuple {
+	return types.Tuple{
+		types.Int(key),
+		types.Str(fmt.Sprintf("1996-%02d-%02d", 1+i%12, 1+i%28)),
+		types.Float(float64(i%100000) + 0.25),
+		types.Str("BUILDING"),
+	}
+}
+
+// benchJoinGraph is the 2-way equi join R.key = S.key.
+func benchJoinGraph() *expr.JoinGraph {
+	return expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
+}
+
 // execModeResult measures one execution path on the source -> join hot
 // path: transport framing, a lowered selection, routing hash and the
 // joiner's probe+insert, per tuple.
@@ -59,7 +74,7 @@ func execSelPred() expr.Pred {
 // `stored` R rows; the measured loop streams S arrivals through transport
 // batches of 64, mirroring one engine edge at steady state.
 func measureExecHotPath(packed bool, stored int) execModeResult {
-	g := stateJoinGraph()
+	g := benchJoinGraph()
 	const batch = 64
 	rows := make([]types.Tuple, batch)
 	pred := execSelPred()
@@ -71,12 +86,12 @@ func measureExecHotPath(packed bool, stored int) execModeResult {
 	res := testing.Benchmark(func(b *testing.B) {
 		j := localjoin.NewTraditional(g)
 		for i := 0; i < stored; i++ {
-			if err := j.Insert(0, stateTuple(int64(i), i)); err != nil {
+			if err := j.Insert(0, benchTuple(int64(i), i)); err != nil {
 				b.Fatal(err)
 			}
 		}
 		for i := range rows {
-			rows[i] = stateTuple(int64(i*2654435761%stored), i)
+			rows[i] = benchTuple(int64(i*2654435761%stored), i)
 		}
 		ppred, ok := expr.CompilePred(pred)
 		if !ok {
@@ -135,14 +150,14 @@ func measureExecHotPath(packed bool, stored int) execModeResult {
 // fullJoinExec runs the end-to-end 2-way full join through the engine with
 // packed execution on and off and compares elapsed time and row counts.
 func fullJoinExec(rn, sn int) fullJoinExecBench {
-	g := stateJoinGraph()
+	g := benchJoinGraph()
 	rRows := make([]types.Tuple, rn)
 	for i := range rRows {
-		rRows[i] = stateTuple(int64(i%(rn/4+1)), i)
+		rRows[i] = benchTuple(int64(i%(rn/4+1)), i)
 	}
 	sRows := make([]types.Tuple, sn)
 	for i := range sRows {
-		sRows[i] = stateTuple(int64(i%(rn/4+1)), i)
+		sRows[i] = benchTuple(int64(i%(rn/4+1)), i)
 	}
 	run := func(mode squall.PackedMode) (time.Duration, int64) {
 		q := &squall.JoinQuery{

@@ -75,7 +75,7 @@ func vecHotPred(keyDomain int) expr.Pred {
 func measureVecHotPath(mode string, keyDomain int) vecModeResult {
 	rows := make([]types.Tuple, vecHotRows)
 	for i := range rows {
-		rows[i] = stateTuple(int64(i*2654435761%keyDomain), i)
+		rows[i] = benchTuple(int64(i*2654435761%keyDomain), i)
 	}
 	pred := vecHotPred(keyDomain)
 	bare := wire.EncodeBatch(nil, rows)
@@ -173,14 +173,14 @@ func measureVecHotPath(mode string, keyDomain int) vecModeResult {
 // selections, 2-way equi join, grouped SUM on top — through the engine in
 // all three modes and requires the result bags to be identical.
 func vecFullJoin(rn, sn int) vecFullJoinBench {
-	g := stateJoinGraph()
+	g := benchJoinGraph()
 	rRows := make([]types.Tuple, rn)
 	for i := range rRows {
-		rRows[i] = stateTuple(int64(i%(rn/4+1)), i)
+		rRows[i] = benchTuple(int64(i%(rn/4+1)), i)
 	}
 	sRows := make([]types.Tuple, sn)
 	for i := range sRows {
-		sRows[i] = stateTuple(int64(i%(rn/4+1)), i)
+		sRows[i] = benchTuple(int64(i%(rn/4+1)), i)
 	}
 	schema := func(name string) *types.Schema {
 		return types.NewSchema(name,

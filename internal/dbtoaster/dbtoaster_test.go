@@ -89,12 +89,9 @@ func TestTupleJoinMatchesTraditionalPerDelta(t *testing.T) {
 		name string
 		g    *expr.JoinGraph
 		rels int
-		mk   func(*expr.JoinGraph) *TupleJoin
 	}{
-		{"chain3/slab", chain3(), 3, NewTupleJoin},
-		{"chain4/slab", chain4(), 4, NewTupleJoin},
-		{"chain3/map", chain3(), 3, NewTupleJoinMap},
-		{"chain4/map", chain4(), 4, NewTupleJoinMap},
+		{"chain3", chain3(), 3},
+		{"chain4", chain4(), 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(5))
@@ -103,7 +100,7 @@ func TestTupleJoinMatchesTraditionalPerDelta(t *testing.T) {
 				rels[i] = genRel(r, 25, 2, 5)
 			}
 			trad := localjoin.NewTraditional(tc.g)
-			dbt := tc.mk(tc.g)
+			dbt := NewTupleJoin(tc.g)
 			for _, e := range shuffled(r, rels) {
 				dt, err := trad.OnTuple(e.rel, e.t)
 				if err != nil {
@@ -125,32 +122,25 @@ func TestTupleJoinThetaMatchesTraditional(t *testing.T) {
 		expr.EquiCol(0, 0, 1, 0),
 		expr.ThetaCol(1, 0, expr.Lt, 2, 0),
 	)
-	for _, mode := range []struct {
-		name string
-		mk   func(*expr.JoinGraph) *TupleJoin
-	}{{"slab", NewTupleJoin}, {"map", NewTupleJoinMap}} {
-		t.Run(mode.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(11))
-			rels := [][]types.Tuple{genRel(r, 20, 1, 6), genRel(r, 20, 1, 6), genRel(r, 20, 1, 6)}
-			trad := localjoin.NewTraditional(g)
-			dbt := mode.mk(g)
-			total := 0
-			for _, e := range shuffled(r, rels) {
-				dt, err := trad.OnTuple(e.rel, e.t)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dd, err := dbt.OnTuple(e.rel, e.t)
-				if err != nil {
-					t.Fatal(err)
-				}
-				total += len(dt)
-				sameTuples(t, "delta", concatAll(dt), concatAll(dd))
-			}
-			if total == 0 {
-				t.Fatal("workload produced no output")
-			}
-		})
+	r := rand.New(rand.NewSource(11))
+	rels := [][]types.Tuple{genRel(r, 20, 1, 6), genRel(r, 20, 1, 6), genRel(r, 20, 1, 6)}
+	trad := localjoin.NewTraditional(g)
+	dbt := NewTupleJoin(g)
+	total := 0
+	for _, e := range shuffled(r, rels) {
+		dt, err := trad.OnTuple(e.rel, e.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dd, err := dbt.OnTuple(e.rel, e.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(dt)
+		sameTuples(t, "delta", concatAll(dt), concatAll(dd))
+	}
+	if total == 0 {
+		t.Fatal("workload produced no output")
 	}
 }
 
@@ -350,67 +340,85 @@ func TestDBToasterCheaperPerProbe(t *testing.T) {
 	}
 }
 
-// TestTupleJoinExportParityAndFrames: slab and map layouts snapshot
-// identical base relations, and the slab layout's frame export decodes to
-// the same tuples through the wire batch decoder (the migration fast path).
-func TestTupleJoinExportParityAndFrames(t *testing.T) {
+// nestedLoopCount counts the combos of the sub-join over the relations in
+// mask (conjuncts inside mask only) by nested loops — the size every
+// materialized view must hold.
+func nestedLoopCount(t *testing.T, g *expr.JoinGraph, rels [][]types.Tuple, mask uint64) int {
+	t.Helper()
+	n := 0
+	cur := make([]types.Tuple, g.NumRels)
+	var rec func(rel int)
+	rec = func(rel int) {
+		if rel == g.NumRels {
+			ok, err := g.HoldsAll(mask, cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				n++
+			}
+			return
+		}
+		if mask&(1<<uint(rel)) == 0 {
+			rec(rel + 1)
+			return
+		}
+		for _, tu := range rels[rel] {
+			cur[rel] = tu
+			rec(rel + 1)
+		}
+		cur[rel] = nil
+	}
+	rec(0)
+	return n
+}
+
+// TestTupleJoinExportMatchesInputAndFrames: every materialized view holds
+// exactly the nested-loop sub-join's combo count, and each relation's
+// snapshot, plain frame export and footered frame export (the migration
+// fast path) decode to exactly the bag of inserted tuples.
+func TestTupleJoinExportMatchesInputAndFrames(t *testing.T) {
 	g := chain3()
 	r := rand.New(rand.NewSource(19))
 	rels := [][]types.Tuple{genRel(r, 30, 2, 4), genRel(r, 30, 2, 4), genRel(r, 30, 2, 4)}
-	slabJ, mapJ := NewTupleJoin(g), NewTupleJoinMap(g)
+	j := NewTupleJoin(g)
 	for _, e := range shuffled(r, rels) {
-		if err := slabJ.Insert(e.rel, e.t); err != nil {
-			t.Fatal(err)
-		}
-		if err := mapJ.Insert(e.rel, e.t); err != nil {
+		if err := j.Insert(e.rel, e.t); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if sj, mj := slabJ.ViewSizes(), mapJ.ViewSizes(); len(sj) != len(mj) {
-		t.Fatalf("view counts diverge: %v vs %v", sj, mj)
-	} else {
-		for mask, n := range mj {
-			if sj[mask] != n {
-				t.Fatalf("view %b: slab %d combos, map %d", mask, sj[mask], n)
-			}
+	sizes := j.ViewSizes()
+	if len(sizes) != 5 { // {R}, {S}, {T}, {RS}, {ST}
+		t.Fatalf("views %v, want the 5 connected proper subsets", sizes)
+	}
+	for mask, n := range sizes {
+		if want := nestedLoopCount(t, g, rels, mask); n != want {
+			t.Fatalf("view %b: %d combos, nested loop %d", mask, n, want)
 		}
 	}
-	for rel := range rels {
-		a, b := slabJ.ExportRel(rel), mapJ.ExportRel(rel)
-		sameTuples(t, "export", a, b)
-		if slabJ.RelCount(rel) != mapJ.RelCount(rel) {
-			t.Fatalf("rel %d: RelCount diverges", rel)
+	for rel, rows := range rels {
+		want := func() []types.Tuple { return append([]types.Tuple(nil), rows...) }
+		sameTuples(t, "export", j.ExportRel(rel), want())
+		if j.RelCount(rel) != len(rows) {
+			t.Fatalf("rel %d: RelCount %d, inserted %d", rel, j.RelCount(rel), len(rows))
 		}
-		var fromFrames []types.Tuple
-		if !slabJ.ExportRelFrames(rel, 8, false, func(frame []byte, count int) bool {
-			tuples, _, err := wire.DecodeBatch(frame)
-			if err != nil || len(tuples) != count {
-				t.Fatalf("rel %d frame: %v", rel, err)
+		for _, footer := range []bool{false, true} {
+			var fromFrames []types.Tuple
+			if !j.ExportRelFrames(rel, 8, footer, func(frame []byte, count int) bool {
+				var foot wire.Footer
+				if footer && count > 0 && !wire.ParseFooter(frame, &foot) {
+					t.Fatalf("rel %d: footered export carries no valid footer", rel)
+				}
+				tuples, _, err := wire.DecodeBatch(frame)
+				if err != nil || len(tuples) != count {
+					t.Fatalf("rel %d frame (footer=%v): %v", rel, footer, err)
+				}
+				fromFrames = append(fromFrames, tuples...)
+				return true
+			}) {
+				t.Fatal("frame export unsupported")
 			}
-			fromFrames = append(fromFrames, tuples...)
-			return true
-		}) {
-			t.Fatal("slab layout must support frame export")
-		}
-		sameTuples(t, "frames", fromFrames, b)
-		var footered []types.Tuple
-		if !slabJ.ExportRelFrames(rel, 8, true, func(frame []byte, count int) bool {
-			var foot wire.Footer
-			if count > 0 && !wire.ParseFooter(frame, &foot) {
-				t.Fatalf("rel %d: footered export carries no valid footer", rel)
-			}
-			tuples, _, err := wire.DecodeBatch(frame)
-			if err != nil || len(tuples) != count {
-				t.Fatalf("rel %d footered frame: %v", rel, err)
-			}
-			footered = append(footered, tuples...)
-			return true
-		}) {
-			t.Fatal("slab layout must support footered frame export")
-		}
-		sameTuples(t, "footered frames", footered, b)
-		if mapJ.ExportRelFrames(rel, 8, false, func([]byte, int) bool { return true }) {
-			t.Error("map layout must report frames unsupported")
+			sameTuples(t, "frames", fromFrames, want())
 		}
 	}
 }

@@ -12,23 +12,19 @@ import (
 	"fmt"
 
 	"squall/internal/localjoin"
-	"squall/internal/slab"
-	"squall/internal/types"
 	"squall/internal/wire"
 )
 
 var _ localjoin.PackedJoin = (*TupleJoin)(nil)
 
-// PackedCapable reports whether OnRow applies (the compact slab layout).
-func (j *TupleJoin) PackedCapable() bool { return j.compact }
+// PackedCapable reports that OnRow applies: the views evaluate arbitrary
+// boundary expressions on one materialized tuple, so every graph qualifies.
+func (j *TupleJoin) PackedCapable() bool { return true }
 
 // OnRow is the packed OnTuple: one tuple materialization per arrival (the
 // views need evaluated expressions), a blitted arena insert, and encoded
 // delta emission. Emitted rows are valid only during the callback.
 func (j *TupleJoin) OnRow(rel int, row []byte, cur *wire.Cursor, emit func(row []byte) error) error {
-	if !j.compact {
-		return fmt.Errorf("dbtoaster: OnRow needs the compact state layout")
-	}
 	if rel < 0 || rel >= j.g.NumRels {
 		return fmt.Errorf("dbtoaster: relation %d out of range", rel)
 	}
@@ -52,26 +48,5 @@ func (j *TupleJoin) OnRow(rel int, row []byte, cur *wire.Cursor, emit func(row [
 			return err
 		}
 	}
-	return j.insertEncoded(rel, t, row)
-}
-
-// insertEncoded is insertCompact with the arriving row's bytes blitted into
-// the singleton arena instead of re-encoding the tuple.
-func (j *TupleJoin) insertEncoded(rel int, t types.Tuple, row []byte) error {
-	tRef := slab.NoRef
-	merged := make([]slab.Ref, j.g.NumRels)
-	for _, mask := range j.updateOrder[rel] {
-		v := j.views[mask]
-		if mask == uint64(1)<<uint(rel) {
-			tRef = v.arena.AppendEncoded(row)
-			if err := j.appendCombo(v, []slab.Ref{tRef}, rel, t); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := j.crossInsert(v, mask, rel, t, tRef, merged); err != nil {
-			return err
-		}
-	}
-	return nil
+	return j.insert(rel, t, row)
 }

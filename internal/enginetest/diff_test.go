@@ -3,11 +3,15 @@ package enginetest
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"squall"
+	"squall/internal/dataflow"
 	"squall/internal/expr"
 	"squall/internal/recovery"
+	"squall/internal/types"
 )
 
 var (
@@ -16,10 +20,35 @@ var (
 	allBatches = []int{1, 3, 64}
 )
 
+// runCell runs one configuration and returns its result bag. Tiered (Spill)
+// cells spill into an in-process MemStore whose byte count is returned, so
+// a cell can assert its state really left the arenas.
+func runCell(w *Workload, ec EngineConfig) (map[string]int, *squall.Result, int, error) {
+	q, opts := w.Plan(ec)
+	var ms *recovery.MemStore
+	if ec.Spill {
+		ms = recovery.NewMemStore()
+		opts.Tier.Store = ms
+	}
+	res, err := q.Run(opts)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	bag := make(map[string]int, len(res.Rows))
+	for _, r := range res.Rows {
+		bag[r.Key()]++
+	}
+	spilled := 0
+	if ms != nil {
+		spilled = ms.Bytes()
+	}
+	return bag, res, spilled, nil
+}
+
 // TestDifferentialAllConfigs is the harness proper: randomized workloads
-// through every (scheme x local join x batch size x adaptive on/off)
-// combination, bag-compared against the nested-loop oracle. Seeds are
-// logged so any failure reproduces by pinning the seed.
+// through every (scheme x local join x batch size x adaptive on/off x
+// resident/tiered state) combination, bag-compared against the nested-loop
+// oracle. Seeds are logged so any failure reproduces by pinning the seed.
 func TestDifferentialAllConfigs(t *testing.T) {
 	cases := []struct {
 		name               string
@@ -46,21 +75,29 @@ func TestDifferentialAllConfigs(t *testing.T) {
 							if adaptive && c.rels != 2 {
 								continue // the adaptive 1-Bucket operator is 2-way
 							}
-							for _, legacy := range []bool{false, true} {
-								if legacy && adaptive && batch != allBatches[0] {
-									// The legacy-state x adaptive corner is
-									// covered once per batch matrix; the full
-									// cross runs on the slab default.
+							for _, spill := range []bool{false, true} {
+								if spill && c.rels != 2 {
+									// The state dimension: resident slab
+									// arenas, then tiered ones. The 60-row
+									// 3-way relations never fill a 64-row
+									// segment, so tiering would be a no-op
+									// there; TestDifferentialSpill's larger
+									// 3-way chain covers that shape.
 									continue
 								}
+								// Tiered cells run on two machines so every
+								// joiner task holds enough rows per relation
+								// to seal (and so spill) segments.
+								machines := 6
+								if spill {
+									machines = 2
+								}
 								for _, packedOff := range []bool{false, true} {
-									if packedOff && (legacy || adaptive) && batch != allBatches[0] {
-										// Boxed exec x legacy state is the
-										// pre-PR3 engine and adaptive sources
-										// are boxed either way: one batch
-										// point covers each corner; the full
-										// cross runs packed-vs-boxed on the
-										// slab default.
+									if packedOff && adaptive && batch != allBatches[0] {
+										// Adaptive sources are boxed either
+										// way: one batch point covers the
+										// corner; the full cross runs
+										// packed-vs-boxed on static runs.
 										continue
 									}
 									for _, vecOff := range []bool{false, true} {
@@ -70,22 +107,24 @@ func TestDifferentialAllConfigs(t *testing.T) {
 											// engine there.
 											continue
 										}
-										if vecOff && (legacy || adaptive) && batch != allBatches[0] {
+										if vecOff && adaptive && batch != allBatches[0] {
 											// Same corner pruning as boxed: the
 											// full vec-vs-packed cross runs on
-											// the slab default.
+											// static runs.
 											continue
 										}
 										ec := EngineConfig{
 											Scheme: scheme, Local: local, BatchSize: batch,
-											Adaptive: adaptive, LegacyState: legacy,
-											PackedOff: packedOff, VecOff: vecOff,
-											Machines: 6, Seed: c.seed,
+											Adaptive: adaptive, PackedOff: packedOff, VecOff: vecOff,
+											Spill: spill, Machines: machines, Seed: c.seed,
 										}
 										t.Run(ec.String(), func(t *testing.T) {
-											got, res, err := w.RunEngine(ec)
+											got, res, spilled, err := runCell(w, ec)
 											if err != nil {
 												t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
+											}
+											if spill && spilled == 0 {
+												t.Fatalf("seed=%d %v: no sealed segment reached the spill store", c.seed, ec)
 											}
 											if diff := DiffBags(ref, got); diff != "" {
 												t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
@@ -95,12 +134,11 @@ func TestDifferentialAllConfigs(t *testing.T) {
 												if vecRows != 0 {
 													t.Fatalf("seed=%d %v: %d rows through frame execution on a vec-off run", c.seed, ec, vecRows)
 												}
-											} else if batch > 1 && !adaptive && !legacy && vecRows == 0 {
+											} else if batch > 1 && !adaptive && vecRows == 0 {
 												// Frames only exist on batched
 												// transport; adaptive edges stay
 												// per-row for the reshape
-												// protocol's bookkeeping, and
-												// map-layout operators emit boxed.
+												// protocol's bookkeeping.
 												t.Fatalf("seed=%d %v: vec run carried no rows through frame execution", c.seed, ec)
 											}
 										})
@@ -246,7 +284,8 @@ func TestSpillActuallySpills(t *testing.T) {
 }
 
 // TestDifferentialChaosKill is the fault-tolerance acceptance matrix: every
-// (scheme x local join x batch x adaptive x slab) configuration runs with
+// (scheme x local join x batch x adaptive x resident/tiered state)
+// configuration runs with
 // one joiner task killed at a seeded point and must stay bag-equal to the
 // nested-loop oracle — the kill is recovered live (peer refetch where the
 // scheme replicates, checkpoint + replay elsewhere), never surfaced as an
@@ -277,14 +316,21 @@ func TestDifferentialChaosKill(t *testing.T) {
 							if adaptive && c.rels != 2 {
 								continue // the adaptive 1-Bucket operator is 2-way
 							}
-							for _, legacy := range []bool{false, true} {
-								if legacy && (adaptive || batch != allBatches[0]) {
-									// The map layout shares the recovery hooks'
-									// fallback path; one batch point covers it.
+							for _, spill := range []bool{false, true} {
+								if spill && c.rels != 2 {
+									// Tiered state under chaos (checkpoints
+									// reference sealed segments): 2-way
+									// workloads only, as in
+									// TestDifferentialAllConfigs, on the vec
+									// default at every batch point.
 									continue
 								}
+								machines := 6
+								if spill {
+									machines = 2
+								}
 								for _, packedOff := range []bool{false, true} {
-									if packedOff && (legacy || adaptive || batch != allBatches[2]) {
+									if packedOff && (spill || adaptive || batch != allBatches[2]) {
 										// Boxed exec under chaos: the corners
 										// are covered at one batch point each;
 										// the packed default runs the full
@@ -294,7 +340,7 @@ func TestDifferentialChaosKill(t *testing.T) {
 										continue
 									}
 									for _, vecOff := range []bool{false, true} {
-										if vecOff && (packedOff || legacy || adaptive || batch != allBatches[2]) {
+										if vecOff && (packedOff || spill || adaptive || batch != allBatches[2]) {
 											// Boxed runs carry no frames, and the
 											// corners are covered at one batch
 											// point; the vec default runs the
@@ -306,14 +352,16 @@ func TestDifferentialChaosKill(t *testing.T) {
 										}
 										ec := EngineConfig{
 											Scheme: scheme, Local: local, BatchSize: batch,
-											Adaptive: adaptive, LegacyState: legacy,
-											PackedOff: packedOff, VecOff: vecOff,
-											Kill: true, Machines: 6, Seed: c.seed,
+											Adaptive: adaptive, PackedOff: packedOff, VecOff: vecOff,
+											Kill: true, Spill: spill, Machines: machines, Seed: c.seed,
 										}
 										t.Run(ec.String(), func(t *testing.T) {
-											got, res, err := w.RunEngine(ec)
+											got, res, spilled, err := runCell(w, ec)
 											if err != nil {
 												t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
+											}
+											if spill && spilled == 0 {
+												t.Fatalf("seed=%d %v: no sealed segment reached the spill store", c.seed, ec)
 											}
 											if f := res.Metrics.Recovery.Faults.Load(); f != 1 {
 												t.Fatalf("seed=%d %v: %d faults recovered, want 1", c.seed, ec, f)
@@ -365,6 +413,52 @@ func TestChaosKillMidStreamPeerRoute(t *testing.T) {
 	}
 }
 
+// drainBefore orders two single-task sources: the spout built from then
+// blocks on its first Next until the spout built from first is exhausted.
+// The wait gives up after drainWait so an aborted run (whose first source
+// never reaches its end) cannot hang the test.
+func drainBefore(first, then dataflow.SpoutFactory) (dataflow.SpoutFactory, dataflow.SpoutFactory) {
+	drained := make(chan struct{})
+	var once sync.Once
+	return func(task, ntasks int) dataflow.Spout {
+			return &signalSpout{Spout: first(task, ntasks), done: func() { once.Do(func() { close(drained) }) }}
+		}, func(task, ntasks int) dataflow.Spout {
+			return &waitSpout{Spout: then(task, ntasks), gate: drained}
+		}
+}
+
+const drainWait = 30 * time.Second
+
+type signalSpout struct {
+	dataflow.Spout
+	done func()
+}
+
+func (s *signalSpout) Next() (types.Tuple, bool) {
+	t, ok := s.Spout.Next()
+	if !ok {
+		s.done()
+	}
+	return t, ok
+}
+
+type waitSpout struct {
+	dataflow.Spout
+	gate   <-chan struct{}
+	opened bool
+}
+
+func (s *waitSpout) Next() (types.Tuple, bool) {
+	if !s.opened {
+		select {
+		case <-s.gate:
+		case <-time.After(drainWait):
+		}
+		s.opened = true
+	}
+	return s.Spout.Next()
+}
+
 // TestDifferentialAdaptiveDrift is the acceptance scenario: under a
 // heavily drifting |R| : |S| ratio the adaptive run must reshape at least
 // once, report migrated bytes, and stay bag-equal to both the oracle and
@@ -392,6 +486,12 @@ func TestDifferentialAdaptiveDrift(t *testing.T) {
 	// Start from the worst shape for an R-heavy stream: one row means every
 	// machine receives every R tuple.
 	q.Adapt.InitialRows, q.Adapt.InitialCols = 1, 8
+	// The 60-row S stream drains before R starts, so S is stored on the
+	// joiners when the R flood triggers the 1x8 -> 8x1 reshape, and the
+	// migration always has S rows to replicate (60 rows x 7 new cells).
+	// Run concurrently, the reshape could fire while every S row still sat
+	// in the source's per-column batches, leaving nothing to migrate.
+	q.Sources[1].Spout, q.Sources[0].Spout = drainBefore(q.Sources[1].Spout, q.Sources[0].Spout)
 	res, err := q.Run(squall.Options{Seed: seed, BatchSize: 16, ChannelBuf: 8})
 	if err != nil {
 		t.Fatalf("seed=%d adaptive run: %v", seed, err)

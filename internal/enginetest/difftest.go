@@ -165,9 +165,6 @@ type EngineConfig struct {
 	Local     squall.LocalJoinKind
 	BatchSize int
 	Adaptive  bool
-	// LegacyState runs the pre-slab map-backed operator state (the PR 3
-	// opt-out) instead of the compact slab default.
-	LegacyState bool
 	// PackedOff runs the boxed tuple pipeline instead of the packed-row
 	// execution default (the PR 5 opt-out), so the differential matrix
 	// covers both paths against the oracle and against each other.
@@ -199,10 +196,6 @@ func (c EngineConfig) String() string {
 	if c.Adaptive {
 		mode = "adaptive"
 	}
-	state := "slab"
-	if c.LegacyState {
-		state = "map"
-	}
 	exec := "vec"
 	if c.VecOff {
 		exec = "packed"
@@ -217,7 +210,7 @@ func (c EngineConfig) String() string {
 	if c.Spill {
 		chaos += "/spill"
 	}
-	return fmt.Sprintf("%v/%v/batch=%d/%s/%s/%s%s", c.Scheme, c.Local, c.BatchSize, mode, state, exec, chaos)
+	return fmt.Sprintf("%v/%v/batch=%d/%s/%s%s", c.Scheme, c.Local, c.BatchSize, mode, exec, chaos)
 }
 
 // query assembles the JoinQuery for one configuration.
@@ -249,9 +242,8 @@ func (w *Workload) query(c EngineConfig) *squall.JoinQuery {
 // (all three must build the identical execution; see squall.RegisterClusterJob).
 func (w *Workload) Plan(c EngineConfig) (*squall.JoinQuery, squall.Options) {
 	opts := squall.Options{
-		Seed:        c.Seed,
-		BatchSize:   c.BatchSize,
-		LegacyState: c.LegacyState,
+		Seed:      c.Seed,
+		BatchSize: c.BatchSize,
 		// Shallow inboxes keep sources backpressured behind the joiner, so
 		// adaptive runs observe ratios mid-stream (and every run exercises
 		// flow control).

@@ -2,31 +2,25 @@ package index
 
 import "squall/internal/types"
 
-// Item is one indexed entry: the stored tuple and a numeric weight that the
-// tree aggregates over subtrees (weight is the SUM argument for aggregate
-// views; use 1 to count).
-type Item struct {
-	T types.Tuple
-	W float64
-}
-
 // Tree is a balanced (AVL) binary search tree keyed by types.Value, holding
-// multiple items per key and maintaining subtree item counts and weight sums
-// for O(log n) range aggregates.
+// multiple uint32 refs per key (row refs or combo ordinals into the owner's
+// state, so the items hold no pointers) and maintaining subtree item counts.
 type Tree struct {
 	root *tnode
 	mem  int
 }
 
 type tnode struct {
-	key   types.Value
-	items []Item
-	l, r  *tnode
-	h     int8
-	// Subtree aggregates (including this node's items).
-	cnt int64
-	sum float64
+	key  types.Value
+	refs []uint32
+	l, r *tnode
+	h    int8
+	cnt  int64 // subtree item count (including this node's refs)
 }
+
+// itemBytes is the accounted footprint of one item: its ref plus its share
+// of the key.
+func itemBytes(key types.Value) int { return 4 + key.MemSize() }
 
 // NewTree returns an empty tree.
 func NewTree() *Tree { return &Tree{} }
@@ -45,13 +39,6 @@ func cnt(n *tnode) int64 {
 	return n.cnt
 }
 
-func sum(n *tnode) float64 {
-	if n == nil {
-		return 0
-	}
-	return n.sum
-}
-
 func (n *tnode) update() {
 	hl, hr := height(n.l), height(n.r)
 	if hl > hr {
@@ -59,11 +46,7 @@ func (n *tnode) update() {
 	} else {
 		n.h = hr + 1
 	}
-	n.cnt = cnt(n.l) + cnt(n.r) + int64(len(n.items))
-	n.sum = sum(n.l) + sum(n.r)
-	for _, it := range n.items {
-		n.sum += it.W
-	}
+	n.cnt = cnt(n.l) + cnt(n.r) + int64(len(n.refs))
 }
 
 func rotRight(y *tnode) *tnode {
@@ -103,59 +86,59 @@ func balance(n *tnode) *tnode {
 	}
 }
 
-// Insert adds an item under key.
-func (t *Tree) Insert(key types.Value, it Item) {
-	t.root = insert(t.root, key, it)
-	t.mem += it.T.MemSize() + key.MemSize()
+// Insert adds ref under key.
+func (t *Tree) Insert(key types.Value, ref uint32) {
+	t.root = insert(t.root, key, ref)
+	t.mem += itemBytes(key)
 }
 
-func insert(n *tnode, key types.Value, it Item) *tnode {
+func insert(n *tnode, key types.Value, ref uint32) *tnode {
 	if n == nil {
-		nn := &tnode{key: key, items: []Item{it}}
+		nn := &tnode{key: key, refs: []uint32{ref}}
 		nn.update()
 		return nn
 	}
 	switch c := key.Compare(n.key); {
 	case c < 0:
-		n.l = insert(n.l, key, it)
+		n.l = insert(n.l, key, ref)
 	case c > 0:
-		n.r = insert(n.r, key, it)
+		n.r = insert(n.r, key, ref)
 	default:
-		n.items = append(n.items, it)
+		n.refs = append(n.refs, ref)
 	}
 	return balance(n)
 }
 
-// Delete removes the first item under key whose tuple equals tup, reporting
-// whether a removal happened.
-func (t *Tree) Delete(key types.Value, tup types.Tuple) bool {
+// Delete removes one occurrence of ref under key, reporting whether a
+// removal happened.
+func (t *Tree) Delete(key types.Value, ref uint32) bool {
 	var removed bool
-	t.root, removed = del(t.root, key, tup)
+	t.root, removed = del(t.root, key, ref)
 	if removed {
-		t.mem -= tup.MemSize() + key.MemSize()
+		t.mem -= itemBytes(key)
 	}
 	return removed
 }
 
-func del(n *tnode, key types.Value, tup types.Tuple) (*tnode, bool) {
+func del(n *tnode, key types.Value, ref uint32) (*tnode, bool) {
 	if n == nil {
 		return nil, false
 	}
 	var removed bool
 	switch c := key.Compare(n.key); {
 	case c < 0:
-		n.l, removed = del(n.l, key, tup)
+		n.l, removed = del(n.l, key, ref)
 	case c > 0:
-		n.r, removed = del(n.r, key, tup)
+		n.r, removed = del(n.r, key, ref)
 	default:
-		for i, it := range n.items {
-			if it.T.Equal(tup) {
-				n.items = append(n.items[:i], n.items[i+1:]...)
+		for i, r := range n.refs {
+			if r == ref {
+				n.refs = append(n.refs[:i], n.refs[i+1:]...)
 				removed = true
 				break
 			}
 		}
-		if len(n.items) == 0 && removed {
+		if len(n.refs) == 0 && removed {
 			// Remove the node itself.
 			if n.l == nil {
 				return n.r, true
@@ -168,8 +151,8 @@ func del(n *tnode, key types.Value, tup types.Tuple) (*tnode, bool) {
 			for succ.l != nil {
 				succ = succ.l
 			}
-			n.key, n.items = succ.key, succ.items
-			succ.items = nil // mark hollow; remove below by key with empty match
+			n.key, n.refs = succ.key, succ.refs
+			succ.refs = nil // mark hollow; remove below by key with empty match
 			n.r = removeHollow(n.r)
 		}
 	}
@@ -179,11 +162,11 @@ func del(n *tnode, key types.Value, tup types.Tuple) (*tnode, bool) {
 	return balance(n), true
 }
 
-// removeHollow deletes the leftmost hollow (items==nil) node, used during
+// removeHollow deletes the leftmost hollow (refs==nil) node, used during
 // successor replacement.
 func removeHollow(n *tnode) *tnode {
 	if n.l == nil {
-		if n.items == nil {
+		if n.refs == nil {
 			return n.r
 		}
 		return n // not hollow; shouldn't happen
@@ -236,13 +219,13 @@ func (b Bound) aboveHi(key types.Value) bool { // key > hi?
 	return c >= 0
 }
 
-// Range visits items with lo <= key <= hi (subject to bound openness) in key
-// order; fn returning false stops the scan.
-func (t *Tree) Range(lo, hi Bound, fn func(key types.Value, it Item) bool) {
+// Range visits the refs with lo <= key <= hi (subject to bound openness) in
+// key order; fn returning false stops the scan.
+func (t *Tree) Range(lo, hi Bound, fn func(key types.Value, ref uint32) bool) {
 	rangeVisit(t.root, lo, hi, fn)
 }
 
-func rangeVisit(n *tnode, lo, hi Bound, fn func(types.Value, Item) bool) bool {
+func rangeVisit(n *tnode, lo, hi Bound, fn func(types.Value, uint32) bool) bool {
 	if n == nil {
 		return true
 	}
@@ -252,8 +235,8 @@ func rangeVisit(n *tnode, lo, hi Bound, fn func(types.Value, Item) bool) bool {
 		}
 	}
 	if !lo.belowLo(n.key) && !hi.aboveHi(n.key) {
-		for _, it := range n.items {
-			if !fn(n.key, it) {
+		for _, ref := range n.refs {
+			if !fn(n.key, ref) {
 				return false
 			}
 		}
@@ -264,71 +247,6 @@ func rangeVisit(n *tnode, lo, hi Bound, fn func(types.Value, Item) bool) bool {
 		}
 	}
 	return true
-}
-
-// RangeAgg returns the item count and weight sum over keys in [lo, hi]
-// (subject to bound openness) in O(log n) using the subtree aggregates.
-func (t *Tree) RangeAgg(lo, hi Bound) (count int64, wsum float64) {
-	return rangeAgg(t.root, lo, hi)
-}
-
-func rangeAgg(n *tnode, lo, hi Bound) (int64, float64) {
-	if n == nil {
-		return 0, 0
-	}
-	if lo.belowLo(n.key) { // entire left subtree and node below lo? no: node below lo
-		return rangeAgg(n.r, lo, hi)
-	}
-	if hi.aboveHi(n.key) { // node above hi
-		return rangeAgg(n.l, lo, hi)
-	}
-	// Node inside range: left subtree is bounded above by node (< hi), so only
-	// lo can exclude on the left; symmetrically for the right.
-	c, s := int64(len(n.items)), 0.0
-	for _, it := range n.items {
-		s += it.W
-	}
-	lc, ls := aggAboveLo(n.l, lo)
-	rc, rs := aggBelowHi(n.r, hi)
-	return c + lc + rc, s + ls + rs
-}
-
-// aggAboveLo aggregates items with key >= lo (openness respected).
-func aggAboveLo(n *tnode, lo Bound) (int64, float64) {
-	if n == nil {
-		return 0, 0
-	}
-	if lo.Open {
-		return n.cnt, n.sum
-	}
-	if lo.belowLo(n.key) {
-		return aggAboveLo(n.r, lo)
-	}
-	c, s := int64(len(n.items)), 0.0
-	for _, it := range n.items {
-		s += it.W
-	}
-	lc, ls := aggAboveLo(n.l, lo)
-	return c + lc + cnt(n.r), s + ls + sum(n.r)
-}
-
-// aggBelowHi aggregates items with key <= hi (openness respected).
-func aggBelowHi(n *tnode, hi Bound) (int64, float64) {
-	if n == nil {
-		return 0, 0
-	}
-	if hi.Open {
-		return n.cnt, n.sum
-	}
-	if hi.aboveHi(n.key) {
-		return aggBelowHi(n.l, hi)
-	}
-	c, s := int64(len(n.items)), 0.0
-	for _, it := range n.items {
-		s += it.W
-	}
-	rc, rs := aggBelowHi(n.r, hi)
-	return c + rc + cnt(n.l), s + rs + sum(n.l)
 }
 
 // Height exposes the tree height for balance tests.

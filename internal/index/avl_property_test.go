@@ -11,14 +11,13 @@ import (
 
 // Property tests cross-checking the AVL tree against a sorted-slice oracle
 // (mirroring internal/ewh/property_test.go): random insert/delete traces,
-// then range lookups, subtree count/sum aggregates and balance are compared
-// against brute force over the oracle.
+// then range lookups, subtree counts and balance are compared against brute
+// force over the oracle.
 
-// oracleEntry is one (key, tuple, weight) item of the reference model.
+// oracleEntry is one (key, ref) item of the reference model.
 type oracleEntry struct {
 	key types.Value
-	t   types.Tuple
-	w   float64
+	ref uint32
 }
 
 type treeOracle []oracleEntry
@@ -56,20 +55,18 @@ func randBoundPair(rng *rand.Rand, domain int64) (Bound, Bound) {
 // runTrace drives ops random inserts/deletes on both structures.
 func runTrace(t *testing.T, rng *rand.Rand, tr *Tree, oracle treeOracle, ops int, domain int64) treeOracle {
 	t.Helper()
-	seq := int64(0)
+	seq := uint32(0)
 	for op := 0; op < ops; op++ {
 		if rng.Intn(3) != 0 || len(oracle) == 0 {
 			k := randKey(rng, domain)
 			seq++
-			tup := types.Tuple{k, types.Int(seq)}
-			w := float64(rng.Intn(10))
-			tr.Insert(k, Item{T: tup, W: w})
-			oracle = append(oracle, oracleEntry{key: k, t: tup, w: w})
+			tr.Insert(k, seq)
+			oracle = append(oracle, oracleEntry{key: k, ref: seq})
 		} else {
 			vi := rng.Intn(len(oracle))
 			victim := oracle[vi]
-			if !tr.Delete(victim.key, victim.t) {
-				t.Fatalf("op %d: oracle holds %v under %v, tree delete failed", op, victim.t, victim.key)
+			if !tr.Delete(victim.key, victim.ref) {
+				t.Fatalf("op %d: oracle holds ref %d under %v, tree delete failed", op, victim.ref, victim.key)
 			}
 			oracle = append(oracle[:vi], oracle[vi+1:]...)
 		}
@@ -96,58 +93,33 @@ func TestTreePropertyRangeVsOracle(t *testing.T) {
 				}
 			}
 			sort.SliceStable(want, func(i, j int) bool { return want[i].key.Compare(want[j].key) < 0 })
-			var got []Item
+			var got []uint32
 			var prev types.Value
 			first := true
-			tr.Range(lo, hi, func(k types.Value, it Item) bool {
+			tr.Range(lo, hi, func(k types.Value, ref uint32) bool {
 				if !first && prev.Compare(k) > 0 {
 					t.Fatalf("trial %d: Range visited keys out of order (%v after %v)", trial, k, prev)
 				}
 				prev, first = k, false
-				got = append(got, it)
+				got = append(got, ref)
 				return true
 			})
 			if len(got) != len(want) {
 				t.Fatalf("trial %d probe %d: Range returned %d items, oracle %d", trial, probe, len(got), len(want))
 			}
-			// Bag equality on the unique seq column (items under one key are
+			// Bag equality on the unique refs (items under one key are
 			// unordered relative to the oracle).
-			seqs := map[int64]int{}
-			for _, it := range got {
-				seqs[it.T[1].I]++
+			seqs := map[uint32]int{}
+			for _, ref := range got {
+				seqs[ref]++
 			}
 			for _, e := range want {
-				seqs[e.t[1].I]--
+				seqs[e.ref]--
 			}
 			for s, n := range seqs {
 				if n != 0 {
 					t.Fatalf("trial %d probe %d: seq %d count off by %d", trial, probe, s, n)
 				}
-			}
-		}
-	}
-}
-
-// TestTreePropertyRangeAggVsOracle: RangeAgg's count and weight sum match
-// brute force over the oracle for random bounds.
-func TestTreePropertyRangeAggVsOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 60; trial++ {
-		tr := NewTree()
-		oracle := runTrace(t, rng, tr, nil, 200+rng.Intn(500), int64(4+rng.Intn(50)))
-		for probe := 0; probe < 30; probe++ {
-			lo, hi := randBoundPair(rng, 60)
-			var wc int64
-			var ws float64
-			for _, e := range oracle {
-				if oracle.inRange(e.key, lo, hi) {
-					wc++
-					ws += e.w
-				}
-			}
-			gc, gs := tr.RangeAgg(lo, hi)
-			if gc != wc || math.Abs(gs-ws) > 1e-9 {
-				t.Fatalf("trial %d probe %d: RangeAgg = (%d, %.1f), oracle (%d, %.1f)", trial, probe, gc, gs, wc, ws)
 			}
 		}
 	}
@@ -167,7 +139,7 @@ func TestTreePropertyDeleteRebalance(t *testing.T) {
 		for len(oracle) > 0 {
 			vi := rng.Intn(len(oracle))
 			victim := oracle[vi]
-			if !tr.Delete(victim.key, victim.t) {
+			if !tr.Delete(victim.key, victim.ref) {
 				t.Fatalf("trial %d: delete of present item failed", trial)
 			}
 			oracle = append(oracle[:vi], oracle[vi+1:]...)
@@ -180,8 +152,9 @@ func TestTreePropertyDeleteRebalance(t *testing.T) {
 					t.Fatalf("trial %d: height %.0f exceeds AVL bound for %d items", trial, h, n)
 				}
 			}
-			// Aggregates must stay consistent under deletion.
-			c, _ := tr.RangeAgg(Unbounded(), Unbounded())
+			// Subtree counts must stay consistent under deletion.
+			var c int64
+			tr.Range(Unbounded(), Unbounded(), func(types.Value, uint32) bool { c++; return true })
 			if c != tr.Len() {
 				t.Fatalf("trial %d: full-range count %d vs Len %d", trial, c, tr.Len())
 			}
@@ -192,7 +165,7 @@ func TestTreePropertyDeleteRebalance(t *testing.T) {
 		if tr.MemSize() != base {
 			t.Fatalf("trial %d: MemSize %d after drain, want %d", trial, tr.MemSize(), base)
 		}
-		if tr.Delete(types.Int(0), types.Tuple{types.Int(0)}) {
+		if tr.Delete(types.Int(0), 0) {
 			t.Fatalf("trial %d: delete on empty tree succeeded", trial)
 		}
 	}

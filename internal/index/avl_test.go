@@ -1,7 +1,6 @@
 package index
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,15 +8,13 @@ import (
 	"squall/internal/types"
 )
 
-func it(v int64) Item { return Item{T: types.Tuple{types.Int(v)}, W: float64(v)} }
-
 func TestTreeInsertAndOrderedRange(t *testing.T) {
 	tr := NewTree()
 	for _, v := range []int64{5, 1, 9, 3, 7, 3} {
-		tr.Insert(types.Int(v), it(v))
+		tr.Insert(types.Int(v), uint32(v))
 	}
 	var got []int64
-	tr.Range(Unbounded(), Unbounded(), func(k types.Value, _ Item) bool {
+	tr.Range(Unbounded(), Unbounded(), func(k types.Value, _ uint32) bool {
 		got = append(got, k.I)
 		return true
 	})
@@ -38,7 +35,7 @@ func TestTreeInsertAndOrderedRange(t *testing.T) {
 func TestTreeRangeBounds(t *testing.T) {
 	tr := NewTree()
 	for v := int64(1); v <= 10; v++ {
-		tr.Insert(types.Int(v), it(v))
+		tr.Insert(types.Int(v), uint32(v))
 	}
 	cases := []struct {
 		lo, hi Bound
@@ -55,56 +52,41 @@ func TestTreeRangeBounds(t *testing.T) {
 		{Incl(types.Int(5)), Incl(types.Int(4)), 0},
 	}
 	for _, c := range cases {
-		cnt, _ := tr.RangeAgg(c.lo, c.hi)
-		if cnt != c.want {
-			t.Errorf("RangeAgg(%v,%v) count = %d, want %d", c.lo, c.hi, cnt, c.want)
-		}
 		var visited int64
-		tr.Range(c.lo, c.hi, func(types.Value, Item) bool { visited++; return true })
+		tr.Range(c.lo, c.hi, func(types.Value, uint32) bool { visited++; return true })
 		if visited != c.want {
 			t.Errorf("Range(%v,%v) visited %d, want %d", c.lo, c.hi, visited, c.want)
 		}
 	}
 }
 
-func TestTreeRangeAggSum(t *testing.T) {
-	tr := NewTree()
-	for v := int64(1); v <= 100; v++ {
-		tr.Insert(types.Int(v), it(v))
-	}
-	_, s := tr.RangeAgg(Incl(types.Int(10)), Incl(types.Int(20)))
-	want := 0.0
-	for v := 10; v <= 20; v++ {
-		want += float64(v)
-	}
-	if math.Abs(s-want) > 1e-9 {
-		t.Errorf("sum = %g, want %g", s, want)
-	}
-}
-
 func TestTreeDelete(t *testing.T) {
 	tr := NewTree()
-	tups := make([]types.Tuple, 0, 20)
-	for v := int64(0); v < 20; v++ {
-		tup := types.Tuple{types.Int(v), types.Int(v * 10)}
-		tups = append(tups, tup)
-		tr.Insert(types.Int(v%5), Item{T: tup, W: 1})
+	for v := uint32(0); v < 20; v++ {
+		tr.Insert(types.Int(int64(v%5)), v)
 	}
-	if !tr.Delete(types.Int(3), tups[3]) {
+	if !tr.Delete(types.Int(3), 3) {
 		t.Fatal("delete of present item must succeed")
 	}
-	if tr.Delete(types.Int(3), tups[3]) {
+	if tr.Delete(types.Int(3), 3) {
 		t.Fatal("double delete must fail")
 	}
-	if tr.Delete(types.Int(4), tups[3]) {
+	if tr.Delete(types.Int(4), 3) {
 		t.Fatal("delete under wrong key must fail")
 	}
 	if tr.Len() != 19 {
 		t.Errorf("Len = %d", tr.Len())
 	}
-	cntAll, _ := tr.RangeAgg(Unbounded(), Unbounded())
-	if cntAll != 19 {
-		t.Errorf("aggregate count = %d", cntAll)
+	var visited int64
+	tr.Range(Unbounded(), Unbounded(), func(_ types.Value, ref uint32) bool {
+		if ref == 3 {
+			t.Error("deleted ref still visited")
+		}
+		visited++
+		return true
+	})
+	if visited != 19 {
+		t.Errorf("full range visited %d", visited)
 	}
 }
 
@@ -112,7 +94,7 @@ func TestTreeBalancedHeight(t *testing.T) {
 	tr := NewTree()
 	const n = 1 << 12
 	for v := int64(0); v < n; v++ { // sorted insertion is the adversarial case
-		tr.Insert(types.Int(v), it(v))
+		tr.Insert(types.Int(v), uint32(v))
 	}
 	// AVL height bound: 1.44*log2(n+2). For n=4096 that is ~17.4.
 	if h := tr.Height(); h > 18 {
@@ -124,21 +106,18 @@ func TestTreeAgainstReferenceModel(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	tr := NewTree()
 	type entry struct {
-		k int64
-		t types.Tuple
-		w float64
+		k   int64
+		ref uint32
 	}
 	var ref []entry
 	for op := 0; op < 4000; op++ {
 		if r.Intn(3) != 0 || len(ref) == 0 {
 			k := r.Int63n(60)
-			tup := types.Tuple{types.Int(k), types.Int(int64(op))}
-			w := float64(r.Intn(10))
-			tr.Insert(types.Int(k), Item{T: tup, W: w})
-			ref = append(ref, entry{k, tup, w})
+			tr.Insert(types.Int(k), uint32(op))
+			ref = append(ref, entry{k, uint32(op)})
 		} else {
 			i := r.Intn(len(ref))
-			if !tr.Delete(types.Int(ref[i].k), ref[i].t) {
+			if !tr.Delete(types.Int(ref[i].k), ref[i].ref) {
 				t.Fatal("model holds item the tree lacks")
 			}
 			ref = append(ref[:i], ref[i+1:]...)
@@ -148,17 +127,15 @@ func TestTreeAgainstReferenceModel(t *testing.T) {
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			var wantC int64
-			var wantS float64
+			var wantC, gotC int64
 			for _, e := range ref {
 				if e.k >= lo && e.k <= hi {
 					wantC++
-					wantS += e.w
 				}
 			}
-			gotC, gotS := tr.RangeAgg(Incl(types.Int(lo)), Incl(types.Int(hi)))
-			if gotC != wantC || math.Abs(gotS-wantS) > 1e-6 {
-				t.Fatalf("op %d: RangeAgg[%d,%d] = (%d,%g), want (%d,%g)", op, lo, hi, gotC, gotS, wantC, wantS)
+			tr.Range(Incl(types.Int(lo)), Incl(types.Int(hi)), func(types.Value, uint32) bool { gotC++; return true })
+			if gotC != wantC {
+				t.Fatalf("op %d: Range[%d,%d] visited %d, want %d", op, lo, hi, gotC, wantC)
 			}
 		}
 	}
@@ -172,7 +149,7 @@ func TestTreeAgainstReferenceModel(t *testing.T) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var got []int64
-	tr.Range(Unbounded(), Unbounded(), func(k types.Value, _ Item) bool {
+	tr.Range(Unbounded(), Unbounded(), func(k types.Value, _ uint32) bool {
 		got = append(got, k.I)
 		return true
 	})
@@ -189,10 +166,10 @@ func TestTreeAgainstReferenceModel(t *testing.T) {
 func TestTreeEarlyStop(t *testing.T) {
 	tr := NewTree()
 	for v := int64(0); v < 100; v++ {
-		tr.Insert(types.Int(v), it(v))
+		tr.Insert(types.Int(v), uint32(v))
 	}
 	n := 0
-	tr.Range(Unbounded(), Unbounded(), func(types.Value, Item) bool {
+	tr.Range(Unbounded(), Unbounded(), func(types.Value, uint32) bool {
 		n++
 		return n < 5
 	})
@@ -204,12 +181,11 @@ func TestTreeEarlyStop(t *testing.T) {
 func TestTreeMemSize(t *testing.T) {
 	tr := NewTree()
 	base := tr.MemSize()
-	tup := types.Tuple{types.Str("payload")}
-	tr.Insert(types.Int(1), Item{T: tup, W: 1})
+	tr.Insert(types.Str("payload"), 7)
 	if tr.MemSize() <= base {
 		t.Error("MemSize must grow")
 	}
-	tr.Delete(types.Int(1), tup)
+	tr.Delete(types.Str("payload"), 7)
 	if tr.MemSize() != base {
 		t.Error("MemSize must shrink back after delete")
 	}

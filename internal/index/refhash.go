@@ -1,3 +1,7 @@
+// Package index provides the in-memory indexes Squall's local join operators
+// build on the fly (§3.3), over refs into slab state: RefHash multimaps for
+// equi-join keys and balanced binary trees for band/inequality keys. The
+// tree keeps subtree item counts so Len is O(1).
 package index
 
 // RefHash is the open-addressing multimap backing slab-based operator state:

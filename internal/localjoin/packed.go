@@ -22,7 +22,7 @@ import (
 // wire-encoded arrival without materializing it.
 type PackedJoin interface {
 	// PackedCapable reports whether OnRow is usable for this operator's
-	// graph and layout; when false the caller must stay on OnTuple.
+	// graph; when false the caller must stay on OnTuple.
 	PackedCapable() bool
 	// OnRow is the packed OnTuple: it joins the encoded arrival against
 	// stored state, passes each delta result to emit as one encoded row
@@ -32,10 +32,10 @@ type PackedJoin interface {
 
 var _ PackedJoin = (*Traditional)(nil)
 
-// PackedCapable reports the packed fast path applies: compact slab state
-// and every conjunct side expression a plain column ref (offset reads).
-// Anything else falls back to the boxed OnTuple.
-func (j *Traditional) PackedCapable() bool { return j.compact && j.packedOK }
+// PackedCapable reports the packed fast path applies: every conjunct side
+// expression is a plain column ref (offset reads). Anything else falls back
+// to the boxed OnTuple.
+func (j *Traditional) PackedCapable() bool { return j.packedOK }
 
 // packedState is the reusable per-arrival scratch of the packed expansion.
 type packedState struct {
@@ -112,7 +112,7 @@ func (j *Traditional) insertRow(rel int, row []byte, cur *wire.Cursor) error {
 			h.Insert(cur.ValueHash(col), uint32(ref))
 		}
 		if tr, ok := s.rngIdx[ci]; ok {
-			tr.Insert(cur.Value(col), index.Item{T: refTuple(ref), W: 1})
+			tr.Insert(cur.Value(col), uint32(ref))
 		}
 	}
 	return nil
@@ -291,8 +291,8 @@ func (j *Traditional) treeRefs(ps *packedState, s *store, next, ci int, ocur *wi
 	lo, hi func(types.Value) index.Bound) []uint32 {
 	v := ocur.Value(ocol)
 	out := ps.refs[next][:0]
-	s.rngIdx[ci].Range(lo(v), hi(v), func(_ types.Value, it index.Item) bool {
-		out = append(out, uint32(it.T[0].I))
+	s.rngIdx[ci].Range(lo(v), hi(v), func(_ types.Value, ref uint32) bool {
+		out = append(out, ref)
 		return true
 	})
 	ps.refs[next] = out

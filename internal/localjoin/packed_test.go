@@ -173,9 +173,69 @@ func TestPackedCapableFallback(t *testing.T) {
 	if NewTraditional(g).PackedCapable() {
 		t.Fatal("arith conjunct must not be packed-capable")
 	}
-	// The map layout must disable it too.
-	eg := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
-	if NewTraditionalMap(eg).PackedCapable() {
-		t.Fatal("map layout must not be packed-capable")
+}
+
+// mixedKindRels pairs R rows keyed by Int with S rows keyed by integral and
+// fractional Floats: Int(2) and Float(2.0) are one key value.
+func mixedKindRels() [][]types.Tuple {
+	return [][]types.Tuple{
+		{{types.Int(2), types.Str("r2")}, {types.Int(3), types.Str("r3")}, {types.Float(2.5), types.Str("r2.5")}},
+		{{types.Float(2.0), types.Str("s2.0")}, {types.Int(3), types.Str("s3")}, {types.Float(3.0), types.Str("s3.0")},
+			{types.Float(2.5), types.Str("s2.5")}, {types.Int(1), types.Str("s1")}},
+	}
+}
+
+// TestMixedKindKeysMatchNestedLoop: hash probes (equi) and tree probes (Le
+// band) treat Int(2) and Float(2.0) as the same key on the boxed OnTuple
+// and the packed OnRow paths alike, in either arrival order, matching the
+// nested loop.
+func TestMixedKindKeysMatchNestedLoop(t *testing.T) {
+	rels := mixedKindRels()
+	for _, op := range []expr.CmpOp{expr.Eq, expr.Le} {
+		g := expr.MustJoinGraph(2, expr.ThetaCol(0, 0, op, 1, 0))
+		want := bruteForce(t, g, rels)
+		hit := false
+		for _, w := range want {
+			hit = hit || (w[1].Str == "r2" && w[3].Str == "s2.0")
+		}
+		if !hit {
+			t.Fatalf("op %v: oracle lacks the Int(2)/Float(2.0) pair: %v", op, want)
+		}
+		for _, packed := range []bool{false, true} {
+			for _, order := range [][]int{{0, 1}, {1, 0}} {
+				j := NewTraditional(g)
+				var got []types.Tuple
+				var cur wire.Cursor
+				for _, rel := range order {
+					for _, tu := range rels[rel] {
+						if !packed {
+							deltas, err := j.OnTuple(rel, tu)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for _, d := range deltas {
+								got = append(got, d.Concat())
+							}
+							continue
+						}
+						row := wire.Encode(nil, tu)
+						if err := cur.Reset(row); err != nil {
+							t.Fatal(err)
+						}
+						err := j.OnRow(rel, row, &cur, func(out []byte) error {
+							d, _, err := wire.Decode(out)
+							got = append(got, d)
+							return err
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if !equalTupleSets(got, append([]types.Tuple(nil), want...)) {
+					t.Fatalf("op %v packed=%v order=%v: got %v, nested loop %v", op, packed, order, got, want)
+				}
+			}
+		}
 	}
 }

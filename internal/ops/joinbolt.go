@@ -35,22 +35,18 @@ func (k LocalJoinKind) String() string {
 
 // JoinBolt runs a local multi-way join per task and emits delta result
 // tuples (concatenated relation order), optionally post-processed by a
-// pipeline. relOf maps upstream component names to relation indexes; legacy
-// selects the pre-slab map state layout (squall.Options.LegacyState).
+// pipeline. relOf maps upstream component names to relation indexes.
 // packed, when the local algorithm is packed-capable for this graph, makes
 // the bolt frame-capable (dataflow.RowBolt): arrivals blit into the slab
 // without a decode/re-encode round trip and delta rows leave as spliced
 // encoded bytes (squall.Options.PackedExec).
 //
-// tier, when non-nil, puts the slab layouts' base-row arenas in tiered mode
-// (sealed, checksummed, spillable segments — squall.Options.Tier); it is
-// ignored by the legacy map layouts, which have no arenas to tier.
-func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post Pipeline, legacy, packed bool, tier *slab.TierConfig) dataflow.BoltFactory {
+// tier, when non-nil, puts the base-row arenas in tiered mode (sealed,
+// checksummed, spillable segments — squall.Options.Tier).
+func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post Pipeline, packed bool, tier *slab.TierConfig) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		mk := func() localjoin.MultiJoin {
 			switch {
-			case kind == DBToaster && legacy:
-				return dbtoaster.NewTupleJoinMap(g)
 			case kind == DBToaster:
 				if tier != nil {
 					tc := *tier
@@ -58,8 +54,6 @@ func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post 
 					return dbtoaster.NewTupleJoinTiered(g, tc)
 				}
 				return dbtoaster.NewTupleJoin(g)
-			case legacy:
-				return localjoin.NewTraditionalMap(g)
 			default:
 				if tier != nil {
 					tc := *tier
@@ -170,8 +164,8 @@ func (b *joinBolt) Finish(*dataflow.Collector) error { return nil }
 
 func (b *joinBolt) MemSize() int { return b.mj.MemSize() }
 
-// tierJoin is the tier surface the slab-backed local joins expose; the map
-// layouts don't implement it, and the bolt degrades gracefully.
+// tierJoin is the tier surface the slab-backed local joins (Traditional,
+// TupleJoin) expose; a MultiJoin without it runs untiered.
 type tierJoin interface {
 	SpilledBytes() int
 	ReleaseState()
@@ -243,7 +237,7 @@ func (b *joinBolt) ExportState(side int) []types.Tuple {
 // ExportStateFrames streams one side's state as ready wire batch frames
 // (dataflow.FrameExporter) when the local join stores rows wire-encoded —
 // the slab layouts blit packed rows without materializing tuples. Reports
-// false when the local algorithm cannot (map layout), sending the caller to
+// false when the local algorithm cannot, sending the caller to
 // ExportState.
 func (b *joinBolt) ExportStateFrames(side, batchSize int, footer bool, visit func(frame []byte, count int) bool) bool {
 	fe, ok := b.mj.(localjoin.FrameExporter)

@@ -58,38 +58,34 @@ func TestAggCountSumAvg(t *testing.T) {
 		{Sum, map[string]float64{"a": 4, "b": 10}},
 		{Avg, map[string]float64{"a": 2, "b": 10}},
 	} {
-		for _, mk := range []func([]expr.Expr, AggKind, expr.Expr, bool) *Agg{NewAgg, NewMapAgg} {
-			a := mk([]expr.Expr{expr.C(0)}, tc.kind, expr.C(1), false)
-			for _, r := range rows {
-				if _, err := a.Fold(r); err != nil {
-					t.Fatal(err)
-				}
+		a := NewAgg([]expr.Expr{expr.C(0)}, tc.kind, expr.C(1), false)
+		for _, r := range rows {
+			if _, err := a.Fold(r); err != nil {
+				t.Fatal(err)
 			}
-			got := map[string]float64{}
-			for _, row := range a.Rows() {
-				f, _ := row[1].AsFloat()
-				got[row[0].Str] = f
-			}
-			for k, want := range tc.want {
-				if math.Abs(got[k]-want) > 1e-9 {
-					t.Errorf("%s group %s = %g, want %g", tc.kind, k, got[k], want)
-				}
+		}
+		got := map[string]float64{}
+		for _, row := range a.Rows() {
+			f, _ := row[1].AsFloat()
+			got[row[0].Str] = f
+		}
+		for k, want := range tc.want {
+			if math.Abs(got[k]-want) > 1e-9 {
+				t.Errorf("%s group %s = %g, want %g", tc.kind, k, got[k], want)
 			}
 		}
 	}
 }
 
 func TestAggIncrementalEmitsUpdates(t *testing.T) {
-	for _, mk := range []func([]expr.Expr, AggKind, expr.Expr, bool) *Agg{NewAgg, NewMapAgg} {
-		a := mk([]expr.Expr{expr.C(0)}, Count, nil, true)
-		r1, err := a.Fold(types.Tuple{types.Str("k")})
-		if err != nil || r1 == nil || r1[1].I != 1 {
-			t.Fatalf("first update = %v, %v", r1, err)
-		}
-		r2, _ := a.Fold(types.Tuple{types.Str("k")})
-		if r2[1].I != 2 {
-			t.Errorf("second update = %v", r2)
-		}
+	a := NewAgg([]expr.Expr{expr.C(0)}, Count, nil, true)
+	r1, err := a.Fold(types.Tuple{types.Str("k")})
+	if err != nil || r1 == nil || r1[1].I != 1 {
+		t.Fatalf("first update = %v, %v", r1, err)
+	}
+	r2, _ := a.Fold(types.Tuple{types.Str("k")})
+	if r2[1].I != 2 {
+		t.Errorf("second update = %v", r2)
 	}
 }
 
@@ -123,7 +119,7 @@ func runJoinTopology(t *testing.T, kind LocalJoinKind) []types.Tuple {
 		Spout("R", 1, dataflow.SliceSpout(r)).
 		Spout("S", 1, dataflow.SliceSpout(s)).
 		Spout("T", 1, dataflow.SliceSpout(u)).
-		Bolt("join", 1, JoinBolt(g, kind, map[string]int{"R": 0, "S": 1, "T": 2}, nil, false, false, nil)).
+		Bolt("join", 1, JoinBolt(g, kind, map[string]int{"R": 0, "S": 1, "T": 2}, nil, false, nil)).
 		Bolt("sink", 1, sink.Factory()).
 		Input("join", "R", dataflow.Global()).
 		Input("join", "S", dataflow.Global()).
@@ -209,7 +205,7 @@ func TestAggJoinBoltWithMerge(t *testing.T) {
 		if incremental {
 			b.Input("sink", "join", dataflow.Global())
 		} else {
-			b.Bolt("merge", 1, MergeBolt(1, Count, false, false, false)).
+			b.Bolt("merge", 1, MergeBolt(1, Count, false, false)).
 				Input("merge", "join", dataflow.Global()).
 				Input("sink", "merge", dataflow.Global())
 		}
@@ -268,7 +264,7 @@ func TestAggJoinBoltWithMerge(t *testing.T) {
 }
 
 func TestMergeBoltRejectsBadArity(t *testing.T) {
-	b := MergeBolt(1, Count, false, false, false)(0, 1)
+	b := MergeBolt(1, Count, false, false)(0, 1)
 	err := b.Execute(dataflow.Input{Tuple: types.Tuple{types.Int(1)}}, nil)
 	if err == nil {
 		t.Error("short merge row must error")
@@ -277,7 +273,7 @@ func TestMergeBoltRejectsBadArity(t *testing.T) {
 
 func TestJoinBoltUnknownStream(t *testing.T) {
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
-	b := JoinBolt(g, Traditional, map[string]int{"R": 0}, nil, false, false, nil)(0, 1)
+	b := JoinBolt(g, Traditional, map[string]int{"R": 0}, nil, false, nil)(0, 1)
 	err := b.Execute(dataflow.Input{Stream: "???", Tuple: types.Tuple{types.Int(1)}}, nil)
 	if err == nil {
 		t.Error("unknown stream must error")
@@ -288,14 +284,13 @@ func sortRows(rows []types.Tuple) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Compare(rows[j]) < 0 })
 }
 
-// TestAggLayoutParity drives random updates through both group-table
-// layouts and requires identical result rows — including the group-identity
-// corner where Int(2) and Float(2.0) are distinct groups (their canonical
-// encodings differ), which the compact layout's byte-equality verification
-// must preserve.
-func TestAggLayoutParity(t *testing.T) {
-	slabA := NewAgg([]expr.Expr{expr.C(0), expr.C(1)}, Sum, expr.C(2), false)
-	mapA := NewMapAgg([]expr.Expr{expr.C(0), expr.C(1)}, Sum, expr.C(2), false)
+// TestAggMatchesReference drives random updates through the group table
+// and requires the result rows of a linear-scan reference — including the
+// group-identity corner where Int(2) and Float(2.0) are distinct groups
+// (their canonical encodings differ), which the table's byte-equality
+// verification must preserve.
+func TestAggMatchesReference(t *testing.T) {
+	a := NewAgg([]expr.Expr{expr.C(0), expr.C(1)}, Sum, expr.C(2), false)
 	rows := []types.Tuple{
 		{types.Int(2), types.Str("x"), types.Int(1)},
 		{types.Float(2.0), types.Str("x"), types.Int(10)}, // distinct group from Int(2)
@@ -308,62 +303,78 @@ func TestAggLayoutParity(t *testing.T) {
 			types.Int(int64(i % 17)), types.Str("g"), types.Int(int64(i)),
 		})
 	}
+	// The reference groups by kind and value: a linear scan, no hashing.
+	type group struct {
+		key types.Tuple
+		sum float64
+	}
+	var ref []*group
+	sameKey := func(a, b types.Tuple) bool {
+		for i := range a {
+			if a[i].Kind() != b[i].Kind() || !a[i].Equal(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
 	for _, r := range rows {
-		if _, err := slabA.Fold(r); err != nil {
+		if _, err := a.Fold(r); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mapA.Fold(r); err != nil {
-			t.Fatal(err)
+		var g *group
+		for _, cand := range ref {
+			if sameKey(cand.key, r[:2]) {
+				g = cand
+				break
+			}
 		}
-	}
-	if slabA.Groups() != mapA.Groups() {
-		t.Fatalf("group counts diverge: slab %d, map %d", slabA.Groups(), mapA.Groups())
-	}
-	key := func(rs []types.Tuple) map[string]string {
-		out := map[string]string{}
-		for _, r := range rs {
-			out[r[:2].Key()] = r.String()
+		if g == nil {
+			g = &group{key: r[:2]}
+			ref = append(ref, g)
 		}
-		return out
+		g.sum += float64(r[2].I)
 	}
-	sr, mr := key(slabA.Rows()), key(mapA.Rows())
-	for k, v := range mr {
-		if sr[k] != v {
-			t.Errorf("group %q: slab %q, map %q", k, sr[k], v)
+	if a.Groups() != len(ref) {
+		t.Fatalf("%d groups, reference %d", a.Groups(), len(ref))
+	}
+	got := a.Rows()
+	for _, g := range ref {
+		found := false
+		for _, row := range got {
+			if sameKey(row[:2], g.key) {
+				found = true
+				if row[2].F != g.sum {
+					t.Errorf("group %v: sum %v, reference %v", g.key, row[2], g.sum)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("group %v missing from %v", g.key, got)
 		}
 	}
 }
 
 // TestAggUpdateAllocFree pins the satellite fix: steady-state updates (all
-// groups already present) must not allocate, in either layout.
+// groups already present) must not allocate.
 func TestAggUpdateAllocFree(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		a    *Agg
-	}{
-		{"slab", NewAgg([]expr.Expr{expr.C(0)}, Count, nil, false)},
-		{"map", NewMapAgg([]expr.Expr{expr.C(0)}, Count, nil, false)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rows := make([]types.Tuple, 64)
-			for i := range rows {
-				rows[i] = types.Tuple{types.Int(int64(i % 8))}
+	a := NewAgg([]expr.Expr{expr.C(0)}, Count, nil, false)
+	rows := make([]types.Tuple, 64)
+	for i := range rows {
+		rows[i] = types.Tuple{types.Int(int64(i % 8))}
+	}
+	for _, r := range rows { // materialize all groups first
+		if _, err := a.Update(r, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, r := range rows {
+			if _, err := a.Update(r, 1, 0); err != nil {
+				t.Fatal(err)
 			}
-			for _, r := range rows { // materialize all groups first
-				if _, err := tc.a.Update(r, 1, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				for _, r := range rows {
-					if _, err := tc.a.Update(r, 1, 0); err != nil {
-						t.Fatal(err)
-					}
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("steady-state Update allocates %.1f objects per 64 updates, want 0", allocs)
-			}
-		})
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Update allocates %.1f objects per 64 updates, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -246,5 +247,54 @@ func TestHubReplayAndLateSubscribe(t *testing.T) {
 	d = <-late.C()
 	if !d.Final || d.Err == nil {
 		t.Fatalf("late final: %+v", d)
+	}
+}
+
+// TestBudgetErrorNamesOnlySetLimits: a rejection message quotes the limits
+// the budget actually sets and omits the unlimited (zero) ones, for every
+// way admission can refuse a query.
+func TestBudgetErrorNamesOnlySetLimits(t *testing.T) {
+	ts := NewTenants()
+	ts.SetBudget("q", Budget{MaxQueries: 1})
+	if err := ts.Admit("q"); err != nil {
+		t.Fatal(err)
+	}
+	ts.SetBudget("b", Budget{MaxBytes: 100})
+	g := ts.Meter("b").Gauge()
+	defer g.Release()
+	g.Set(150)
+	cases := []struct {
+		name     string
+		err      error
+		want     string
+		mustLack []string
+	}{
+		{"query-count", ts.Admit("q"),
+			"serve: tenant q over budget (1 queries / 1 max): serve: tenant budget exceeded",
+			[]string{"B used", "0B"}},
+		{"byte-budget", ts.Admit("b"),
+			"serve: tenant b over budget (150B used / 100B max): serve: tenant budget exceeded",
+			[]string{"queries"}},
+		// The engine-wide pressure rejection (squall.Engine's admission at
+		// the Reject stage) carries the pressure cap as its only limit.
+		{"pressure", &BudgetError{Tenant: "p", Used: 4096, Budget: Budget{MaxBytes: 4000}},
+			"serve: tenant p over budget (4096B used / 4000B max): serve: tenant budget exceeded",
+			[]string{"queries"}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if !errors.Is(c.err, ErrBudgetExceeded) {
+				t.Fatalf("errors.Is(%v, ErrBudgetExceeded) = false", c.err)
+			}
+			msg := c.err.Error()
+			if msg != c.want {
+				t.Fatalf("message %q, want %q", msg, c.want)
+			}
+			for _, bad := range c.mustLack {
+				if strings.Contains(msg, bad) {
+					t.Fatalf("message %q mentions an unset limit (%q)", msg, bad)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"squall/internal/slab"
@@ -34,9 +35,21 @@ type BudgetError struct {
 	Budget  Budget
 }
 
+// Error names only the limits the budget sets; a zero limit is unlimited
+// and is left out.
 func (e *BudgetError) Error() string {
-	return fmt.Sprintf("serve: tenant %s over budget (%dB used / %dB max, %d queries / %d max): %v",
-		e.Tenant, e.Used, e.Budget.MaxBytes, e.Queries, e.Budget.MaxQueries, ErrBudgetExceeded)
+	var limits []string
+	if e.Budget.MaxBytes > 0 {
+		limits = append(limits, fmt.Sprintf("%dB used / %dB max", e.Used, e.Budget.MaxBytes))
+	}
+	if e.Budget.MaxQueries > 0 {
+		limits = append(limits, fmt.Sprintf("%d queries / %d max", e.Queries, e.Budget.MaxQueries))
+	}
+	msg := "serve: tenant " + e.Tenant + " over budget"
+	if len(limits) > 0 {
+		msg += " (" + strings.Join(limits, ", ") + ")"
+	}
+	return msg + ": " + ErrBudgetExceeded.Error()
 }
 
 func (e *BudgetError) Unwrap() error { return ErrBudgetExceeded }
