@@ -277,7 +277,7 @@ func spillBench() {
 	ckFullBag := bagHash(ckFullRes.Rows)
 	ckIncr, ckIncrRes := runOnce("ckpt-incremental", squall.Options{
 		Recovery: &squall.RecoveryOptions{CheckpointEvery: ckEvery},
-		Tier:     &squall.TierOptions{SegmentRows: segRows, CacheSegments: 4},
+		Tier:     &squall.TierOptions{SegmentRows: segRows},
 	})
 	ckIncrBag := bagHash(ckIncrRes.Rows)
 
@@ -291,7 +291,7 @@ func spillBench() {
 	cs := &corruptingStore{inner: recovery.NewMemStore(), target: 48}
 	corrupt, corruptRes := runOnce("corrupt-spill", squall.Options{
 		Recovery: &squall.RecoveryOptions{CheckpointEvery: ckEvery / 4, DisablePeer: true},
-		Tier:     &squall.TierOptions{SegmentRows: segRows, CacheSegments: 4, Store: cs},
+		Tier:     &squall.TierOptions{SegmentRows: segRows, Store: cs},
 	})
 	corruptBag := bagHash(corruptRes.Rows)
 

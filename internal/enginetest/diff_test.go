@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -20,15 +21,29 @@ var (
 	allBatches = []int{1, 3, 64}
 )
 
-// runCell runs one configuration and returns its result bag. Tiered (Spill)
-// cells spill into an in-process MemStore whose byte count is returned, so
-// a cell can assert its state really left the arenas.
-func runCell(w *Workload, ec EngineConfig) (map[string]int, *squall.Result, int, error) {
+// spillStore is the in-process segment store of a tiered (Spill) cell. It
+// counts reads: every tier spills eagerly there, so each read is one
+// segment fault-in.
+type spillStore struct {
+	*recovery.MemStore
+	faults atomic.Int64
+}
+
+func (s *spillStore) GetSegment(key string) ([]byte, bool, error) {
+	s.faults.Add(1)
+	return s.MemStore.GetSegment(key)
+}
+
+// runCell runs one configuration and returns its result bag. A tiered
+// (Spill) cell must move state through its spill store: runCell fails it
+// when no sealed segment reached the store, and returns how many spilled
+// segments were faulted back in.
+func runCell(w *Workload, ec EngineConfig) (map[string]int, *squall.Result, int64, error) {
 	q, opts := w.Plan(ec)
-	var ms *recovery.MemStore
+	var ss *spillStore
 	if ec.Spill {
-		ms = recovery.NewMemStore()
-		opts.Tier.Store = ms
+		ss = &spillStore{MemStore: recovery.NewMemStore()}
+		opts.Tier.Store = ss
 	}
 	res, err := q.Run(opts)
 	if err != nil {
@@ -38,12 +53,21 @@ func runCell(w *Workload, ec EngineConfig) (map[string]int, *squall.Result, int,
 	for _, r := range res.Rows {
 		bag[r.Key()]++
 	}
-	spilled := 0
-	if ms != nil {
-		spilled = ms.Bytes()
+	var faults int64
+	if ss != nil {
+		if ss.Bytes() == 0 {
+			return nil, nil, 0, fmt.Errorf("no sealed segment reached the spill store")
+		}
+		faults = ss.faults.Load()
 	}
-	return bag, res, spilled, nil
+	return bag, res, faults, nil
 }
+
+// sealsEarly reports whether a two-machine workload is large enough that
+// every joiner arena seals a 64-row segment well before its last probe, so
+// a tiered cell must fault spilled state back in. Smaller workloads seal
+// at most near their tail.
+func sealsEarly(rowsPerRel int) bool { return rowsPerRel >= 200 }
 
 // TestDifferentialAllConfigs is the harness proper: randomized workloads
 // through every (scheme x local join x batch size x adaptive on/off x
@@ -119,12 +143,12 @@ func TestDifferentialAllConfigs(t *testing.T) {
 											Spill: spill, Machines: machines, Seed: c.seed,
 										}
 										t.Run(ec.String(), func(t *testing.T) {
-											got, res, spilled, err := runCell(w, ec)
+											got, res, faults, err := runCell(w, ec)
 											if err != nil {
 												t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
 											}
-											if spill && spilled == 0 {
-												t.Fatalf("seed=%d %v: no sealed segment reached the spill store", c.seed, ec)
+											if spill && sealsEarly(c.rows) && faults == 0 {
+												t.Fatalf("seed=%d %v: no spilled segment was faulted back in", c.seed, ec)
 											}
 											if diff := DiffBags(ref, got); diff != "" {
 												t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
@@ -240,9 +264,12 @@ func TestDifferentialSpill(t *testing.T) {
 							Spill: true, Kill: kill, Machines: 2, Seed: c.seed,
 						}
 						t.Run(ec.String(), func(t *testing.T) {
-							got, _, err := w.RunEngine(ec)
+							got, _, faults, err := runCell(w, ec)
 							if err != nil {
 								t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
+							}
+							if sealsEarly(c.rows) && faults == 0 {
+								t.Fatalf("seed=%d %v: no spilled segment was faulted back in", c.seed, ec)
 							}
 							if diff := DiffBags(ref, got); diff != "" {
 								t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
@@ -356,12 +383,12 @@ func TestDifferentialChaosKill(t *testing.T) {
 											Kill: true, Spill: spill, Machines: machines, Seed: c.seed,
 										}
 										t.Run(ec.String(), func(t *testing.T) {
-											got, res, spilled, err := runCell(w, ec)
+											got, res, faults, err := runCell(w, ec)
 											if err != nil {
 												t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
 											}
-											if spill && spilled == 0 {
-												t.Fatalf("seed=%d %v: no sealed segment reached the spill store", c.seed, ec)
+											if spill && sealsEarly(c.rows) && faults == 0 {
+												t.Fatalf("seed=%d %v: no spilled segment was faulted back in", c.seed, ec)
 											}
 											if f := res.Metrics.Recovery.Faults.Load(); f != 1 {
 												t.Fatalf("seed=%d %v: %d faults recovered, want 1", c.seed, ec, f)

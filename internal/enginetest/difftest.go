@@ -263,11 +263,11 @@ func (w *Workload) Plan(c EngineConfig) (*squall.JoinQuery, squall.Options) {
 		opts.Recovery = &squall.RecoveryOptions{CheckpointEvery: 24}
 	}
 	if c.Spill {
-		// Minimum segment size and a tiny fault-in cache, no memory cap:
-		// without a pressure ladder the tier spills eagerly at every seal,
-		// so differential workloads constantly decode spilled segments back
-		// through the CRC-verified read path.
-		opts.Tier = &squall.TierOptions{SegmentRows: 64, CacheSegments: 2}
+		// Minimum segment size, no memory cap: without a pressure ladder
+		// the tier spills eagerly at every seal, so differential workloads
+		// constantly fault spilled segments back in through the verified
+		// read path.
+		opts.Tier = &squall.TierOptions{SegmentRows: 64}
 	}
 	return w.query(c), opts
 }

@@ -39,10 +39,10 @@ func (j *Traditional) PackedCapable() bool { return j.packedOK }
 
 // packedState is the reusable per-arrival scratch of the packed expansion.
 type packedState struct {
-	curs []wire.Cursor // per-relation cursor over the assigned row
-	rows [][]byte      // per-relation assigned row bytes (nil = unassigned)
-	refs [][]uint32    // per-relation verified candidate scratch
-	out  []byte        // spliced result row
+	curs  []wire.Cursor   // per-relation cursor over the assigned row
+	refs  [][]uint32      // per-relation range/scan candidate scratch
+	cands [][]wire.Cursor // per-relation verified equality candidates, already parsed
+	out   []byte          // spliced result row
 	// incident/filters are per-relation conjunct-id scratch (a relation is
 	// probed at most once per expand chain, so per-rel reuse is safe).
 	incident [][]int
@@ -63,21 +63,18 @@ func (j *Traditional) OnRow(rel int, row []byte, cur *wire.Cursor, emit func(row
 	ps := &j.packed
 	if ps.curs == nil {
 		ps.curs = make([]wire.Cursor, j.g.NumRels)
-		ps.rows = make([][]byte, j.g.NumRels)
 		ps.refs = make([][]uint32, j.g.NumRels)
+		ps.cands = make([][]wire.Cursor, j.g.NumRels)
 		ps.incident = make([][]int, j.g.NumRels)
 		ps.filters = make([][]int, j.g.NumRels)
 	}
 	// Re-scan the row into the operator-owned cursor: a struct copy of the
 	// caller's cursor would alias its offset slice, and a later Reset of
 	// either would silently clobber the other's view.
-	ps.rows[rel] = row
 	if err := ps.curs[rel].Reset(row); err != nil {
 		return fmt.Errorf("localjoin: OnRow: %w", err)
 	}
-	err := j.expandPacked(ps, 1<<uint(rel), emit)
-	ps.rows[rel] = nil
-	if err != nil {
+	if err := j.expandPacked(ps, 1<<uint(rel), emit); err != nil {
 		return err
 	}
 	return j.insertRow(rel, row, &ps.curs[rel])
@@ -135,14 +132,18 @@ func (j *Traditional) expandPacked(ps *packedState, have uint64, emit func([]byt
 		ps.out = out
 		return emit(out)
 	}
-	refs, filters, err := j.probePacked(ps, have, next)
+	refs, cands, filters, err := j.probePacked(ps, have, next)
 	if err != nil {
 		return err
 	}
 	s := j.stores[next]
-	for _, ref := range refs {
-		cand := &ps.curs[next]
-		if err := cand.Reset(s.arena.RowBytes(slab.Ref(ref))); err != nil {
+	cur := &ps.curs[next]
+	for i := range len(refs) + len(cands) {
+		if cands != nil {
+			// Swap the parsed candidate in: each cursor keeps its own
+			// offset slice, so nothing aliases and nothing is re-parsed.
+			*cur, cands[i] = cands[i], *cur
+		} else if err := cur.Reset(s.arena.RowBytes(slab.Ref(refs[i]))); err != nil {
 			return fmt.Errorf("localjoin: corrupt stored row: %w", err)
 		}
 		ok := true
@@ -159,12 +160,10 @@ func (j *Traditional) expandPacked(ps *packedState, have uint64, emit func([]byt
 		if !ok {
 			continue
 		}
-		ps.rows[next] = s.arena.RowBytes(slab.Ref(ref))
 		if err := j.expandPacked(ps, have|1<<uint(next), emit); err != nil {
 			return err
 		}
 	}
-	ps.rows[next] = nil
 	return nil
 }
 
@@ -187,11 +186,14 @@ func (j *Traditional) conjunctHoldsPacked(ps *packedState, ci int) (bool, error)
 	return expr.CmpHolds(c.Op, cmp), nil
 }
 
-// probePacked mirrors probe: it returns the candidate row refs of relation
-// `next` passing the strongest incident conjunct (equality candidates
-// verified by field comparison so a hash collision can never fabricate a
-// result), plus the conjunct ids left to check as filters.
-func (j *Traditional) probePacked(ps *packedState, have uint64, next int) ([]uint32, []int, error) {
+// probePacked mirrors probe: it returns the candidates of relation `next`
+// passing the strongest incident conjunct, plus the conjunct ids left to
+// check as filters. Equality candidates come back as cursors already parsed
+// while they were verified by field comparison (so a hash collision can
+// never fabricate a result); range and scan candidates come back as refs.
+// A relation is probed at most once per expand chain, so the per-relation
+// scratch stays intact while deeper levels run.
+func (j *Traditional) probePacked(ps *packedState, have uint64, next int) ([]uint32, []wire.Cursor, []int, error) {
 	s := j.stores[next]
 	incident := ps.incident[next][:0]
 	for ci, c := range j.g.Conjuncts {
@@ -233,14 +235,14 @@ func (j *Traditional) probePacked(ps *packedState, have uint64, next int) ([]uin
 	}
 	ps.filters[next] = filters
 	if probeCi < 0 {
-		return j.scanRefs(ps, s, next), filters, nil // cross join or Ne-only
+		return j.scanRefs(ps, s, next), nil, filters, nil // cross join or Ne-only
 	}
 	// Orient so LRel == next: Left(t_next) op' Right(t_other).
 	c := j.g.Conjuncts[probeCi].Oriented(next)
 	ocur := &ps.curs[c.RRel]
 	ocol := j.sideCol[probeCi][c.RRel]
 	if err := fieldOf(ocur, ocol); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	switch c.Op {
 	case expr.Eq:
@@ -249,31 +251,34 @@ func (j *Traditional) probePacked(ps *packedState, have uint64, next int) ([]uin
 		// boxed path indexes under, same Compare-equality it verifies with
 		// (NULL keys compare equal to NULL keys, exactly like Value.Equal).
 		s.refBuf = s.eqRef[probeCi].AppendRefs(s.refBuf[:0], ocur.ValueHash(ocol))
-		out := ps.refs[next][:0]
-		cand := &ps.curs[next]
+		cands, n := ps.cands[next], 0
 		for _, ref := range s.refBuf {
+			if n == len(cands) {
+				cands = append(cands, wire.Cursor{})
+			}
+			cand := &cands[n]
 			if err := cand.Reset(s.arena.RowBytes(slab.Ref(ref))); err != nil {
-				return nil, nil, fmt.Errorf("localjoin: corrupt stored row: %w", err)
+				return nil, nil, nil, fmt.Errorf("localjoin: corrupt stored row: %w", err)
 			}
 			if err := fieldOf(cand, ncol); err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			if cmp, _ := wire.CompareFields(cand, ncol, ocur, ocol); cmp == 0 {
-				out = append(out, ref)
+				n++
 			}
 		}
-		ps.refs[next] = out
-		return out, filters, nil
+		ps.cands[next] = cands
+		return nil, cands[:n], filters, nil
 	case expr.Lt: // key < v
-		return j.treeRefs(ps, s, next, probeCi, ocur, ocol, indexUnbounded, boundExcl), filters, nil
+		return j.treeRefs(ps, s, next, probeCi, ocur, ocol, indexUnbounded, boundExcl), nil, filters, nil
 	case expr.Le:
-		return j.treeRefs(ps, s, next, probeCi, ocur, ocol, indexUnbounded, boundIncl), filters, nil
+		return j.treeRefs(ps, s, next, probeCi, ocur, ocol, indexUnbounded, boundIncl), nil, filters, nil
 	case expr.Gt: // key > v
-		return j.treeRefs(ps, s, next, probeCi, ocur, ocol, boundExcl, indexUnbounded), filters, nil
+		return j.treeRefs(ps, s, next, probeCi, ocur, ocol, boundExcl, indexUnbounded), nil, filters, nil
 	case expr.Ge:
-		return j.treeRefs(ps, s, next, probeCi, ocur, ocol, boundIncl, indexUnbounded), filters, nil
+		return j.treeRefs(ps, s, next, probeCi, ocur, ocol, boundIncl, indexUnbounded), nil, filters, nil
 	default:
-		return j.scanRefs(ps, s, next), append(filters, probeCi), nil
+		return j.scanRefs(ps, s, next), nil, append(filters, probeCi), nil
 	}
 }
 

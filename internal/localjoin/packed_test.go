@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"squall/internal/expr"
+	"squall/internal/recovery"
+	"squall/internal/slab"
 	"squall/internal/types"
 	"squall/internal/wire"
 )
@@ -237,5 +239,98 @@ func TestMixedKindKeysMatchNestedLoop(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOnRowTieredCappedMatchesNestedLoop runs a 3-way equi chain with an
+// extra Ne filter conjunct through the packed path over tiered arenas under
+// a memory cap, so equality candidates are parsed, verified and swapped in
+// while their segments spill and fault back in. The emitted bag must equal
+// the nested-loop join, and the first-level candidate lists must include
+// empty, single-row and multi-row ones.
+func TestOnRowTieredCappedMatchesNestedLoop(t *testing.T) {
+	g := expr.MustJoinGraph(3,
+		expr.EquiCol(0, 0, 1, 0),
+		expr.EquiCol(1, 0, 2, 0),
+		expr.ThetaCol(0, 1, expr.Ne, 2, 1),
+	)
+	p := slab.NewPressure(8 << 10)
+	j := NewTraditionalTiered(g, slab.TierConfig{
+		SegmentRows: 64, Store: recovery.NewMemStore(), Pressure: p, KeyPrefix: "chain",
+	})
+	defer j.ReleaseState()
+	if !j.PackedCapable() {
+		t.Fatal("column-ref graph must be packed-capable")
+	}
+	const perRel, domain = 150, 100
+	rng := rand.New(rand.NewSource(19))
+	rels := make([][]types.Tuple, 3)
+	var order []int
+	for rel := range rels {
+		for i := 0; i < perRel; i++ {
+			rels[rel] = append(rels[rel], types.Tuple{
+				types.Int(int64(rng.Intn(domain))),
+				types.Int(int64(rng.Intn(3))),
+				types.Int(int64(rel*1_000_000 + i)),
+				types.Str("chain-payload-0123456789"),
+			})
+			order = append(order, rel)
+		}
+	}
+	rng.Shuffle(len(order), func(a, b int) { order[a], order[b] = order[b], order[a] })
+
+	// Rels 0 and 2 have one neighbour, rel 1, so an arrival there probes
+	// rel 1 first: its verified candidates are the stored rel-1 rows with
+	// an equal key.
+	rel1Keys := map[int64]int{}
+	var lists [3]int // empty, one row, several rows
+	next := make([]int, 3)
+	got := map[string]int{}
+	var cur wire.Cursor
+	var row []byte
+	for _, rel := range order {
+		tu := rels[rel][next[rel]]
+		next[rel]++
+		if rel == 1 {
+			rel1Keys[tu[0].I]++
+		} else {
+			lists[min(rel1Keys[tu[0].I], 2)]++
+		}
+		row = wire.Encode(row[:0], tu)
+		if err := cur.Reset(row); err != nil {
+			t.Fatal(err)
+		}
+		err := j.OnRow(rel, row, &cur, func(out []byte) error {
+			res, _, err := wire.Decode(out)
+			if err != nil {
+				return err
+			}
+			got[res.Key()]++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]int{}
+	for _, tu := range bruteForce(t, g, rels) {
+		want[tu.Key()]++
+	}
+	if len(want) == 0 {
+		t.Fatal("degenerate workload: the nested loop joined nothing")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d distinct results, nested loop has %d", len(got), len(want))
+	}
+	for k, n := range want {
+		if got[k] != n {
+			t.Fatalf("result %q: packed %d, nested loop %d", k, got[k], n)
+		}
+	}
+	if lists[0] == 0 || lists[1] == 0 || lists[2] == 0 {
+		t.Fatalf("candidate lists (empty, one, several) = %v: a size went untested", lists)
+	}
+	if st := p.Stats(); st.Spills == 0 || st.SegmentFaults == 0 {
+		t.Fatalf("state never left RAM and came back: %+v", st)
 	}
 }

@@ -49,26 +49,10 @@ func AppendSegment(dst []byte, offs []uint32, payload []byte) []byte {
 // in the trailer. It never panics on malformed input and bounds every
 // allocation by len(src): any mutation of an encoded segment fails the CRC.
 func DecodeSegment(src []byte) (offs []uint32, payload []byte, crc uint32, err error) {
-	if len(src) < len(segMagic)+1+1+4 {
-		return nil, nil, 0, fmt.Errorf("%w: short segment (%d bytes)", ErrSegmentCorrupt, len(src))
+	body, pos, nrows, crc, err := openSegment(src)
+	if err != nil {
+		return nil, nil, 0, err
 	}
-	body, tail := src[:len(src)-4], src[len(src)-4:]
-	crc = binary.LittleEndian.Uint32(tail)
-	if crc32.ChecksumIEEE(body) != crc {
-		return nil, nil, 0, fmt.Errorf("%w: checksum mismatch", ErrSegmentCorrupt)
-	}
-	if string(body[:len(segMagic)]) != segMagic {
-		return nil, nil, 0, fmt.Errorf("%w: bad magic", ErrSegmentCorrupt)
-	}
-	if body[len(segMagic)] != segVersion {
-		return nil, nil, 0, fmt.Errorf("%w: unsupported version %d", ErrSegmentCorrupt, body[len(segMagic)])
-	}
-	pos := len(segMagic) + 1
-	nrows, c := binary.Uvarint(body[pos:])
-	if c <= 0 {
-		return nil, nil, 0, fmt.Errorf("%w: bad row count", ErrSegmentCorrupt)
-	}
-	pos += c
 	// Each span costs at least one header byte, so nrows is bounded by the
 	// remaining body even before spans are read (allocation bound).
 	if nrows > uint64(len(body)-pos) {
@@ -93,4 +77,62 @@ func DecodeSegment(src []byte) (offs []uint32, payload []byte, crc uint32, err e
 		return nil, nil, 0, fmt.Errorf("%w: payload %dB, spans say %dB", ErrSegmentCorrupt, len(payload), total)
 	}
 	return offs, payload, crc, nil
+}
+
+// verifySegment checks that src is the encoding of the sealed segment whose
+// resident offset table is offs and whose recorded CRC is crc, and returns
+// its row payload (aliasing src). It accepts exactly the blobs DecodeSegment
+// accepts that decode to offs and crc, but compares spans against offs in
+// place instead of rebuilding the table, so a fault-in allocates nothing.
+func verifySegment(src []byte, offs []uint32, crc uint32) ([]byte, error) {
+	body, pos, nrows, got, err := openSegment(src)
+	if err != nil {
+		return nil, err
+	}
+	if got != crc || len(offs) == 0 || offs[0] != 0 || nrows != uint64(len(offs)-1) {
+		return nil, fmt.Errorf("%w: blob does not match sealed identity", ErrSegmentCorrupt)
+	}
+	var total uint64
+	for i := 1; i < len(offs); i++ {
+		span, c := binary.Uvarint(body[pos:])
+		if c <= 0 {
+			return nil, fmt.Errorf("%w: bad span %d", ErrSegmentCorrupt, i-1)
+		}
+		pos += c
+		total += span
+		if total > uint64(len(body)) || uint32(total) != offs[i] {
+			return nil, fmt.Errorf("%w: span %d does not match sealed offsets", ErrSegmentCorrupt, i-1)
+		}
+	}
+	payload := body[pos:]
+	if uint64(len(payload)) != total {
+		return nil, fmt.Errorf("%w: payload %dB, spans say %dB", ErrSegmentCorrupt, len(payload), total)
+	}
+	return payload, nil
+}
+
+// openSegment checks the framing every decode shares — length, CRC
+// trailer, magic, version, row count — and returns the checksummed body,
+// the position of the first span, the row count and the recorded CRC.
+func openSegment(src []byte) (body []byte, pos int, nrows uint64, crc uint32, err error) {
+	if len(src) < len(segMagic)+1+1+4 {
+		return nil, 0, 0, 0, fmt.Errorf("%w: short segment (%d bytes)", ErrSegmentCorrupt, len(src))
+	}
+	body, tail := src[:len(src)-4], src[len(src)-4:]
+	crc = binary.LittleEndian.Uint32(tail)
+	if crc32.ChecksumIEEE(body) != crc {
+		return nil, 0, 0, 0, fmt.Errorf("%w: checksum mismatch", ErrSegmentCorrupt)
+	}
+	if string(body[:len(segMagic)]) != segMagic {
+		return nil, 0, 0, 0, fmt.Errorf("%w: bad magic", ErrSegmentCorrupt)
+	}
+	if body[len(segMagic)] != segVersion {
+		return nil, 0, 0, 0, fmt.Errorf("%w: unsupported version %d", ErrSegmentCorrupt, body[len(segMagic)])
+	}
+	pos = len(segMagic) + 1
+	nrows, c := binary.Uvarint(body[pos:])
+	if c <= 0 {
+		return nil, 0, 0, 0, fmt.Errorf("%w: bad row count", ErrSegmentCorrupt)
+	}
+	return body, pos + c, nrows, crc, nil
 }

@@ -2,7 +2,11 @@ package slab
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
+	"slices"
 	"testing"
 )
 
@@ -80,25 +84,87 @@ func TestSegmentRejectsMutations(t *testing.T) {
 	}
 }
 
+// The fault-in verifier accepts the sealed blob and rejects every single-
+// byte mutation, truncation and extension of it, and a blob of another
+// segment with a valid checksum.
+func TestVerifySegment(t *testing.T) {
+	offs, payload := buildSegment([][]byte{[]byte("row-one"), {}, []byte("row-two-longer")})
+	enc := AppendSegment(nil, offs, payload)
+	crc := binary.LittleEndian.Uint32(enc[len(enc)-4:])
+	got, err := verifySegment(enc, offs, crc)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("verifySegment(sealed blob) = %q, %v", got, err)
+	}
+	reject := func(what string, blob []byte, offs []uint32, crc uint32) {
+		t.Helper()
+		if _, err := verifySegment(blob, offs, crc); !errors.Is(err, ErrSegmentCorrupt) {
+			t.Fatalf("%s: verifySegment error %v, want ErrSegmentCorrupt", what, err)
+		}
+	}
+	for i := range enc {
+		for _, flip := range []byte{0x01, 0x80} {
+			mut := append([]byte(nil), enc...)
+			mut[i] ^= flip
+			reject(fmt.Sprintf("byte %d ^%#x", i, flip), mut, offs, crc)
+		}
+	}
+	for n := 0; n < len(enc); n++ {
+		reject(fmt.Sprintf("truncation to %dB", n), enc[:n], offs, crc)
+	}
+	reject("extension", append(append([]byte(nil), enc...), 0), offs, crc)
+	// Same rows, different split: the checksum is valid, the identity not.
+	otherOffs, otherPayload := buildSegment([][]byte{[]byte("row-on"), []byte("e"), []byte("row-two-longer")})
+	other := AppendSegment(nil, otherOffs, otherPayload)
+	reject("other segment", other, offs, binary.LittleEndian.Uint32(other[len(other)-4:]))
+	reject("wrong crc", enc, offs, crc^1)
+	// A payload byte past the last span, under a recomputed checksum.
+	long := append(append([]byte(nil), enc[:len(enc)-4]...), 'x')
+	longCRC := crc32.ChecksumIEEE(long)
+	reject("trailing payload byte", binary.LittleEndian.AppendUint32(long, longCRC), offs, longCRC)
+}
+
 func FuzzSegment(f *testing.F) {
 	offs, payload := buildSegment([][]byte{[]byte("seed-row"), {}, []byte("another")})
-	f.Add(AppendSegment(nil, offs, payload))
+	sealed := AppendSegment(nil, offs, payload)
+	crc := binary.LittleEndian.Uint32(sealed[len(sealed)-4:])
+	f.Add(sealed)
 	f.Add([]byte("SQSG"))
 	f.Add([]byte{})
+	for _, i := range []int{0, 4, 5, 6, 8, len(sealed) - 5, len(sealed) - 1} {
+		mut := append([]byte(nil), sealed...)
+		mut[i] ^= 0x01
+		f.Add(mut)
+	}
+	f.Add(sealed[:len(sealed)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The fault-in verifier, holding the sealed segment's resident
+		// identity, may accept data only when DecodeSegment accepts it and
+		// decodes exactly that identity.
+		gotOffs, gotPayload, gotCRC, err := DecodeSegment(data)
+		if vp, verr := verifySegment(data, offs, crc); verr == nil {
+			if err != nil {
+				t.Fatalf("verifier accepted a blob DecodeSegment rejects: %v", err)
+			}
+			if !slices.Equal(gotOffs, offs) || gotCRC != crc || !bytes.Equal(vp, gotPayload) {
+				t.Fatalf("verifier accepted a blob that decodes to another segment")
+			}
+		}
 		// Decode must never panic, and any successful decode must
-		// re-encode to bytes that decode identically (self-consistency).
-		gotOffs, gotPayload, crc, err := DecodeSegment(data)
+		// re-encode to bytes that decode identically (self-consistency) and
+		// pass the verifier against its own identity.
 		if err != nil {
 			return
+		}
+		if _, err := verifySegment(data, gotOffs, gotCRC); err != nil {
+			t.Fatalf("verifier rejected a valid segment against its own identity: %v", err)
 		}
 		re := AppendSegment(nil, gotOffs, gotPayload)
 		reOffs, rePayload, reCRC, err := DecodeSegment(re)
 		if err != nil {
 			t.Fatalf("re-encode of valid segment failed: %v", err)
 		}
-		if crc != reCRC {
-			t.Fatalf("re-encode CRC %08x != original %08x", reCRC, crc)
+		if gotCRC != reCRC {
+			t.Fatalf("re-encode CRC %08x != original %08x", reCRC, gotCRC)
 		}
 		if len(reOffs) != len(gotOffs) || !bytes.Equal(rePayload, gotPayload) {
 			t.Fatalf("re-encode round trip mismatch")

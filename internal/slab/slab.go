@@ -127,10 +127,13 @@ func (a *Arena) rowSpan(r Ref) (int, int) {
 }
 
 // RowBytes returns the wire encoding of one row. The slice aliases the
-// arena; callers must not retain it across Appends — nor, on a tiered
-// arena, across other RowBytes calls (a fault-in may evict the segment
-// backing an earlier return). Reading a spilled row faults its segment in
-// from the store; a CRC failure panics *CorruptSegmentError.
+// arena and must not be modified. Stored bytes are never rewritten in place
+// (appends, seals, compaction and eviction replace or drop references, not
+// bytes), so the slice stays readable across later calls; on a tiered
+// arena, though, a slice into a segment evicted since keeps that payload
+// alive outside the residency accounting, so callers hold rows only for
+// the operation at hand. Reading a spilled row faults its segment in from
+// the store; a failed verification panics *CorruptSegmentError.
 func (a *Arena) RowBytes(r Ref) []byte {
 	if a.t != nil {
 		return a.t.rowBytes(a, r)

@@ -17,20 +17,31 @@ import (
 // indexes and window queues keep their refs across seals, spills and
 // segment compactions. Sealed segments are:
 //
-//	hot → sealed ─→ spilled ──→ quarantined
-//	        │          │  ↑
-//	        └─compact──┘  └─ faulted back in (read-through cache)
+//	hot → sealed (dirty) ─spill─→ spilled ──→ quarantined
+//	        │    ↑                  │  ↑
+//	        └compact                │  └─ dropped (clean: copy is durable)
+//	                                └─ faulted in → resident (clean)
 //
 //   - compacted in place segment-by-segment (dead rows become zero-length
 //     spans; refs stay stable) instead of the legacy stop-the-world
 //     Arena.Compact rebuild;
-//   - spilled to a SegmentStore in the checksummed segment encoding once
-//     memory pressure demands it (or eagerly when no Pressure ladder is
-//     attached), dropping the in-RAM payload;
-//   - faulted back in on access through a count-capped LRU cache, every
-//     read CRC-verified — a corrupt or torn segment is quarantined and the
-//     access panics with *CorruptSegmentError, which the dataflow recovery
-//     plane turns into a checkpoint restore (never fabricated rows).
+//   - held in one resident pool: every segment whose payload is in RAM,
+//     dirty (never spilled) or clean (faulted back in, spill copy still
+//     valid), on an intrusive LRU list. Once the pressure ladder reaches
+//     PressureSpill, the fault path and the maintenance step each evict
+//     the coldest pool segment: a clean one is dropped, a dirty one is
+//     spilled to the SegmentStore in the checksummed segment encoding —
+//     once, since spilled payloads are immutable. Residency is bounded by
+//     the ladder, so a hot segment that spilled early is faulted in once
+//     and stays resident;
+//   - faulted back in on access, every read CRC- and identity-verified
+//     without allocating — a corrupt, torn or foreign segment is
+//     quarantined and the access panics with *CorruptSegmentError, which
+//     the dataflow recovery plane turns into a checkpoint restore (never
+//     fabricated rows).
+//
+// Without a ladder (Store set, Pressure nil) every segment spills eagerly
+// at seal and the pool holds at most CacheSegments faulted-in segments.
 //
 // The tier is opt-in per arena (EnableTier on an empty arena); a plain
 // arena is byte-for-byte the legacy code path.
@@ -64,12 +75,15 @@ type TierConfig struct {
 	// referenced by key+CRC from later checkpoints instead of being
 	// re-exported as frames. Nil disables incremental checkpoints.
 	CkStore SegmentStore
-	// CacheSegments caps how many spilled segments may be held faulted-in
-	// at once (read-through LRU). Default 4.
+	// CacheSegments caps how many spilled segments an eager tier (Store set,
+	// Pressure nil) keeps faulted in at once. Default 4. Under a Pressure
+	// ladder it is unused: the ladder alone bounds residency.
 	CacheSegments int
-	// Pressure, when set, drives spilling: segments spill coldest-first
-	// only while the ladder is at PressureSpill or above. When nil and
-	// Store is set, every segment spills eagerly at seal.
+	// Pressure, when set, drives eviction: while the ladder is at
+	// PressureSpill or above, the coldest resident segment is evicted
+	// (dropped if clean, spilled if dirty) on every fault and maintenance
+	// step. When nil and Store is set, every segment spills eagerly at
+	// seal.
 	Pressure *Pressure
 	// KeyPrefix namespaces this arena's segment keys in the stores.
 	KeyPrefix string
@@ -119,19 +133,22 @@ type TierStats struct {
 
 // segment is one append-frozen run of segRows rows. offs stays resident
 // always (4*(segRows+1) bytes — the ref→span map); blob is the packed row
-// payload and is nil while spilled and uncached.
+// payload and is nil while spilled and not faulted in.
 type segment struct {
+	si          int      // index in tier.segs
 	offs        []uint32 // segRows+1 local offsets; zero-length span = compacted-away row
 	blob        []byte   // row payload; nil when spilled and not faulted in
-	crc         uint32   // CRC of the encoded segment (set at first encode)
+	crc         uint32   // CRC of the encoded segment (set at spill)
 	deadBytes   int      // tombstoned payload bytes not yet compacted
-	spilled     bool     // a verified copy lives in cfg.Store under key
+	spilled     bool     // a verified copy lives in cfg.Store under key (resident ⇒ clean)
 	key         string   // spill-store key
 	persisted   bool     // a copy lives in cfg.CkStore under ckKey
 	ckKey       string
 	ckCRC       uint32
-	quarantined bool   // failed CRC on fault-in; never served again
-	tick        uint64 // last access (spill/evict pick the minimum)
+	quarantined bool // failed verification on fault-in; never served again
+	// prev/next link a resident segment into tier.pool (nil while its
+	// payload is not in RAM).
+	prev, next *segment
 }
 
 type tier struct {
@@ -141,18 +158,22 @@ type tier struct {
 	gauge   *PressureGauge
 	keyBase string
 
+	// pool is the sentinel of the resident pool: a circular LRU list of
+	// every sealed segment with its payload in RAM, pool.next the most
+	// recently used and pool.prev the coldest.
+	pool segment
+
 	hotDeadBytes      int   // tombstoned bytes in the hot region (moves into the segment at seal)
 	residentBlobBytes int64 // payload bytes of segments currently in RAM
 	segPayloadTotal   int64 // logical payload bytes of all sealed segments
 	spilledPayload    int64 // payload bytes of segments with a spill copy
-	cached            int   // spilled segments currently faulted in
+	cached            int   // clean pool segments (spilled, faulted back in)
 	appends           int   // amortization counter for maintenance from Append
 	compactCursor     int   // round-robin position of the background compactor
 	spills            int64
 	faults            int64
 	spillErrors       int64
 	quarantined       int
-	tick              uint64
 }
 
 // EnableTier converts an empty arena to tiered operation. Panics if the
@@ -174,12 +195,14 @@ func (a *Arena) EnableTier(cfg TierConfig) {
 	if cfg.KeyPrefix == "" {
 		cfg.KeyPrefix = "arena"
 	}
-	a.t = &tier{
+	t := &tier{
 		cfg:     cfg,
 		segRows: cfg.SegmentRows,
 		gauge:   cfg.Pressure.Gauge(),
 		keyBase: fmt.Sprintf("%s-g%d", cfg.KeyPrefix, tierGen.Add(1)),
 	}
+	t.pool.prev, t.pool.next = &t.pool, &t.pool
+	a.t = t
 }
 
 // Tiered reports whether the arena runs the tiered state layer.
@@ -247,9 +270,69 @@ func (a *Arena) Maintain() {
 // hotBase returns the first hot (unsealed) ref.
 func (t *tier) hotBase() int { return len(t.segs) * t.segRows }
 
-func (t *tier) nextTick() uint64 {
-	t.tick++
-	return t.tick
+// poolPush links a newly resident segment in as the most recently used.
+func (t *tier) poolPush(s *segment) {
+	s.prev, s.next = &t.pool, t.pool.next
+	s.next.prev = s
+	t.pool.next = s
+}
+
+// poolRemove unlinks a segment whose payload leaves RAM.
+func (t *tier) poolRemove(s *segment) {
+	s.prev.next, s.next.prev = s.next, s.prev
+	s.prev, s.next = nil, nil
+}
+
+// touch marks a resident segment most recently used.
+func (t *tier) touch(s *segment) {
+	if t.pool.next != s {
+		t.poolRemove(s)
+		t.poolPush(s)
+	}
+}
+
+// coldest returns the least recently used pool segment that is clean (when
+// clean is set) or dirty (when dirty is set), or nil. With both set it is
+// O(1): the tail of the list.
+func (t *tier) coldest(clean, dirty bool) *segment {
+	for s := t.pool.prev; s != &t.pool; s = s.prev {
+		if s.spilled && clean || !s.spilled && dirty {
+			return s
+		}
+	}
+	return nil
+}
+
+// evict takes one segment's payload out of RAM: a clean segment is dropped
+// (its spill copy is durable and immutable), a dirty one is spilled. A
+// failed spill leaves the segment resident.
+func (t *tier) evict(a *Arena, s *segment) {
+	if !s.spilled {
+		t.spillSeg(a, s)
+		return
+	}
+	t.residentBlobBytes -= int64(len(s.blob))
+	s.blob = nil
+	t.cached--
+	t.poolRemove(s)
+}
+
+// faultVictim picks the segment a fault-in displaces: under a ladder at
+// PressureSpill or above the coldest pool segment, without a ladder the
+// coldest clean one once CacheSegments are resident, else none.
+func (t *tier) faultVictim() *segment {
+	switch {
+	case t.cfg.Pressure == nil && t.cached >= t.cfg.CacheSegments:
+		return t.coldest(true, false)
+	case t.pressured():
+		return t.coldest(true, true)
+	}
+	return nil
+}
+
+// pressured reports whether the ladder asks the pool to shrink.
+func (t *tier) pressured() bool {
+	return t.cfg.Pressure != nil && t.cfg.Pressure.Stage() >= PressureSpill
 }
 
 // afterAppend runs the tier's per-append bookkeeping: seal when the hot
@@ -272,12 +355,13 @@ func (t *tier) seal(a *Arena) {
 	copy(offs, a.offs)
 	offs[n] = uint32(len(a.buf))
 	seg := &segment{
+		si:        len(t.segs),
 		offs:      offs,
 		blob:      a.buf,
 		deadBytes: t.hotDeadBytes,
-		tick:      t.nextTick(),
 	}
 	t.segs = append(t.segs, seg)
+	t.poolPush(seg)
 	t.hotDeadBytes = 0
 	t.residentBlobBytes += int64(len(seg.blob))
 	t.segPayloadTotal += int64(len(seg.blob))
@@ -285,7 +369,7 @@ func (t *tier) seal(a *Arena) {
 	a.offs = a.offs[:0]
 	if t.cfg.Store != nil && t.cfg.Pressure == nil {
 		// No ladder: spill eagerly so memory stays bounded by the cache.
-		t.spillSeg(a, len(t.segs)-1)
+		t.spillSeg(a, seg)
 	}
 	t.syncGauge(a)
 }
@@ -348,24 +432,23 @@ func (t *tier) compactSeg(a *Arena, si int) {
 	seg.deadBytes = 0
 }
 
-// spillStep spills at most one cold segment when the ladder (or eager
-// mode) asks for it.
+// spillStep is the maintenance half of eviction. Under a ladder at
+// PressureSpill or above it evicts the coldest pool segment; without a
+// ladder it retries the coldest dirty segment whose eager spill failed.
 func (t *tier) spillStep(a *Arena) {
 	if t.cfg.Store == nil {
 		return
 	}
-	if t.cfg.Pressure != nil && t.cfg.Pressure.Stage() < PressureSpill {
+	if t.cfg.Pressure == nil {
+		if s := t.coldest(false, true); s != nil {
+			t.spillSeg(a, s)
+		}
 		return
 	}
-	victim := -1
-	var vt uint64
-	for i, s := range t.segs {
-		if !s.spilled && !s.quarantined && s.blob != nil && (victim < 0 || s.tick < vt) {
-			victim, vt = i, s.tick
+	if t.pressured() {
+		if s := t.coldest(true, true); s != nil {
+			t.evict(a, s)
 		}
-	}
-	if victim >= 0 {
-		t.spillSeg(a, victim)
 	}
 }
 
@@ -376,8 +459,8 @@ func (t *tier) spillStep(a *Arena) {
 // spill and checkpoint domains fail independently. A failed write leaves
 // the segment resident (counted in SpillErrors); the ladder escalates to
 // backpressure instead of losing state.
-func (t *tier) spillSeg(a *Arena, si int) {
-	seg := t.segs[si]
+func (t *tier) spillSeg(a *Arena, seg *segment) {
+	si := seg.si
 	enc := AppendSegment(nil, seg.offs, seg.blob)
 	crc := binary.LittleEndian.Uint32(enc[len(enc)-4:])
 	if t.cfg.CkStore != nil && !seg.persisted {
@@ -399,6 +482,7 @@ func (t *tier) spillSeg(a *Arena, si int) {
 	t.residentBlobBytes -= int64(len(seg.blob))
 	t.spilledPayload += int64(len(seg.blob))
 	seg.blob = nil
+	t.poolRemove(seg)
 	t.spills++
 	t.cfg.Pressure.noteSpill()
 }
@@ -425,12 +509,14 @@ func (t *tier) rowBytes(a *Arena, r Ref) []byte {
 }
 
 // ensureBlob returns the segment with its payload resident, faulting it in
-// from the spill store (CRC-verified) if needed. A corrupt, missing or
+// from the spill store if needed. The fetched blob is verified against the
+// segment's sealed identity without allocating; a corrupt, missing or
 // mismatched blob quarantines the segment and panics *CorruptSegmentError.
+// Admitting it first evicts the faultVictim, if any.
 func (t *tier) ensureBlob(a *Arena, si int) *segment {
 	seg := t.segs[si]
-	seg.tick = t.nextTick()
 	if seg.blob != nil {
+		t.touch(seg)
 		return seg
 	}
 	if seg.quarantined {
@@ -443,54 +529,22 @@ func (t *tier) ensureBlob(a *Arena, si int) *segment {
 	}
 	var payload []byte
 	if err == nil {
-		var offs []uint32
-		var crc uint32
-		offs, payload, crc, err = DecodeSegment(blob)
-		if err == nil && (crc != seg.crc || len(offs) != len(seg.offs) ||
-			offs[len(offs)-1] != seg.offs[len(seg.offs)-1]) {
-			err = fmt.Errorf("%w: blob does not match sealed identity", ErrSegmentCorrupt)
-		}
+		payload, err = verifySegment(blob, seg.offs, seg.crc)
 	}
 	if err != nil {
 		t.quarantine(a, si, err) // panics
 	}
-	t.evictFor(a)
+	if victim := t.faultVictim(); victim != nil {
+		t.evict(a, victim)
+	}
 	seg.blob = payload
+	t.poolPush(seg)
 	t.residentBlobBytes += int64(len(payload))
 	t.cached++
 	t.faults++
 	t.cfg.Pressure.noteFault()
 	t.syncGauge(a)
 	return seg
-}
-
-// evictFor makes room in the fault-in cache by dropping the coldest cached
-// spilled payload (already durable on disk, immutable once spilled). Once
-// the ladder reaches Backpressure the cache is the only resident pool the
-// tier can still shrink — probes keep faulting segments in regardless of
-// throttled sources — so the budget collapses to a single cached segment
-// until residency drops back under the watermark.
-func (t *tier) evictFor(a *Arena) {
-	limit := t.cfg.CacheSegments
-	if t.cfg.Pressure != nil && t.cfg.Pressure.Stage() >= PressureBackpressure {
-		limit = 1
-	}
-	for t.cached >= limit {
-		victim := -1
-		var vt uint64
-		for i, s := range t.segs {
-			if s.spilled && s.blob != nil && (victim < 0 || s.tick < vt) {
-				victim, vt = i, s.tick
-			}
-		}
-		if victim < 0 {
-			return
-		}
-		s := t.segs[victim]
-		t.residentBlobBytes -= int64(len(s.blob))
-		s.blob = nil
-		t.cached--
-	}
 }
 
 // quarantine marks a segment unreadable, deletes its (bad) spill copy

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 // mapStore is a SegmentStore for tests, with optional fault injection.
@@ -328,7 +329,7 @@ func TestTierPressureDrivenSpill(t *testing.T) {
 	store := newMapStore()
 	p := NewPressure(40 << 10)
 	a := New()
-	a.EnableTier(TierConfig{SegmentRows: 64, Store: store, Pressure: p, CacheSegments: 2, KeyPrefix: "p"})
+	a.EnableTier(TierConfig{SegmentRows: 64, Store: store, Pressure: p, KeyPrefix: "p"})
 	for i := 0; i < 4000; i++ {
 		a.Append(tupleFor(i))
 	}
@@ -342,5 +343,177 @@ func TestTierPressureDrivenSpill(t *testing.T) {
 	a.ReleaseTier()
 	if p.ResidentBytes() != 0 {
 		t.Fatalf("ReleaseTier left %dB charged", p.ResidentBytes())
+	}
+}
+
+// spillAll evicts every sealed segment of a laddered arena: another gauge
+// charges the whole cap, so each maintenance step evicts the coldest
+// resident segment. The ladder is left at PressureReject.
+func spillAll(t testing.TB, a *Arena, p *Pressure) *PressureGauge {
+	t.Helper()
+	other := p.Gauge()
+	other.set(p.Cap(), 0, 0)
+	for i := 0; i < 4*a.SealedSegments() && a.TierStats().SpilledSegments < a.SealedSegments(); i++ {
+		a.Maintain()
+	}
+	if st := a.TierStats(); st.SpilledSegments != st.SealedSegments || st.CachedSegments != 0 {
+		t.Fatalf("segments still resident after spilling: %+v", st)
+	}
+	return other
+}
+
+// A segment that spilled under pressure is faulted in once when read again
+// while the ladder has room, and then stays resident: residency is bounded
+// by the ladder, not by a fault-in cache.
+func TestTierFaultedSegmentStaysResident(t *testing.T) {
+	store := newMapStore()
+	p := NewPressure(1 << 20)
+	a := New()
+	a.EnableTier(TierConfig{SegmentRows: 64, Store: store, Pressure: p, KeyPrefix: "r"})
+	const n = 640 // ten sealed segments
+	for i := 0; i < n; i++ {
+		a.Append(tupleFor(i))
+	}
+	other := spillAll(t, a, p)
+	other.set(0, 0, 0) // the other arena drains: the ladder has room again
+	if p.Stage() != PressureNormal {
+		t.Fatalf("stage %v with %dB of %dB resident", p.Stage(), p.ResidentBytes(), p.Cap())
+	}
+	faults0, puts0 := a.TierStats().Faults, store.puts
+	for k := 0; k < 50; k++ {
+		for i := 0; i < n; i += 7 {
+			if got := a.Decode(Ref(i)); fmt.Sprint(got) != fmt.Sprint(tupleFor(i)) {
+				t.Fatalf("row %d diverges after fault-in: %v", i, got)
+			}
+		}
+	}
+	st := a.TierStats()
+	if f := st.Faults - faults0; f != int64(st.SealedSegments) {
+		t.Fatalf("%d faults over %d spilled segments read 50 times each, want one per segment", f, st.SealedSegments)
+	}
+	if st.CachedSegments != st.SealedSegments {
+		t.Fatalf("%d of %d faulted-in segments stayed resident", st.CachedSegments, st.SealedSegments)
+	}
+	if store.puts != puts0 {
+		t.Fatalf("reads wrote %d segments to the store", store.puts-puts0)
+	}
+}
+
+// A fault storm over far more segments than fit under the cap never pushes
+// peak residency past the cap. Eviction is coldest-first: a dirty segment
+// is spilled once, and once every segment has a spill copy, evictions only
+// drop clean segments — the store is never written again.
+func TestTierFaultStormStaysUnderCap(t *testing.T) {
+	store := newMapStore()
+	p := NewPressure(64 << 10)
+	a := New()
+	a.EnableTier(TierConfig{SegmentRows: 64, Store: store, Pressure: p, KeyPrefix: "s"})
+	const n = 64 * 64
+	for i := 0; i < n; i++ {
+		a.Append(tupleFor(i))
+	}
+	st := a.TierStats()
+	if st.SpilledSegments == 0 || st.SpilledSegments == st.SealedSegments {
+		t.Fatalf("want some segments spilled and some dirty-resident after loading: %+v", st)
+	}
+	rng := rand.New(rand.NewSource(3))
+	storm := func(reads int) {
+		for k := 0; k < reads; k++ {
+			i := rng.Intn(n)
+			if got := a.Decode(Ref(i)); fmt.Sprint(got) != fmt.Sprint(tupleFor(i)) {
+				t.Fatalf("row %d diverges in the storm: %v", i, got)
+			}
+		}
+	}
+	storm(20000)
+	st = a.TierStats()
+	if st.Faults < int64(st.SealedSegments) {
+		t.Fatalf("only %d faults: the storm did not exceed the pool", st.Faults)
+	}
+	if len(store.m) != store.puts || int64(store.puts) != st.Spills {
+		t.Fatalf("%d puts for %d keys (%d spills): a segment was spilled twice", store.puts, len(store.m), st.Spills)
+	}
+	// Spill every remaining dirty segment; from here on every eviction is
+	// of a clean segment and must be a drop.
+	for i := 0; i < 4*st.SealedSegments && a.TierStats().SpilledSegments < st.SealedSegments; i++ {
+		a.Maintain()
+	}
+	faults0, puts0 := a.TierStats().Faults, store.puts
+	storm(20000)
+	st = a.TierStats()
+	if st.Faults == faults0 {
+		t.Fatal("second storm faulted nothing in")
+	}
+	if store.puts != puts0 {
+		t.Fatalf("evicting clean segments wrote %d blobs", store.puts-puts0)
+	}
+	if peak := p.PeakResidentBytes(); peak > p.Cap() {
+		t.Fatalf("peak resident %dB exceeds the %dB cap", peak, p.Cap())
+	}
+	if st.SpillErrors != 0 || st.Quarantined != 0 {
+		t.Fatalf("storm stats: %+v", st)
+	}
+}
+
+// Faulting a spilled segment in allocates nothing once the arena is warm:
+// the blob is verified in place and the pool links are intrusive.
+func TestTierFaultInAllocFree(t *testing.T) {
+	for _, laddered := range []bool{false, true} {
+		t.Run(fmt.Sprintf("ladder=%v", laddered), func(t *testing.T) {
+			store := newMapStore()
+			cfg := TierConfig{SegmentRows: 64, Store: store, CacheSegments: 1, KeyPrefix: "z"}
+			var p *Pressure
+			if laddered {
+				p = NewPressure(1 << 20)
+				cfg.Pressure = p
+			}
+			a := New()
+			a.EnableTier(cfg)
+			for i := 0; i < 3*64; i++ {
+				a.Append(tupleFor(i))
+			}
+			if laddered {
+				spillAll(t, a, p) // leaves the ladder at Reject: every fault evicts
+			}
+			a.RowBytes(0)
+			a.RowBytes(64)
+			faults0 := a.TierStats().Faults
+			allocs := testing.AllocsPerRun(100, func() {
+				a.RowBytes(0)
+				a.RowBytes(64)
+			})
+			if f := a.TierStats().Faults - faults0; f < 200 {
+				t.Fatalf("%d faults in 101 alternating read pairs: reads were served resident", f)
+			}
+			if allocs != 0 {
+				t.Fatalf("fault-in allocates %.1f times per read pair", allocs)
+			}
+		})
+	}
+}
+
+var benchRow []byte
+
+// BenchmarkTierFaultIn faults one spilled segment in per op, evicting the
+// previous one. Every size cycles over the same 16 segments, so the bytes
+// touched per op are the same and ns/op must not grow with the number of
+// sealed segments: neither admission nor eviction scans them.
+func BenchmarkTierFaultIn(b *testing.B) {
+	for _, segs := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("segments=%d", segs), func(b *testing.B) {
+			p := NewPressure(1 << 20)
+			a := New()
+			a.EnableTier(TierConfig{SegmentRows: 64, Store: newMapStore(), Pressure: p, KeyPrefix: "b"})
+			row := wire.Encode(nil, types.Tuple{types.Int(7), types.Str("fault-in benchmark row")})
+			for i := 0; i < segs*64; i++ {
+				a.AppendEncoded(row)
+			}
+			spillAll(b, a, p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchRow = a.RowBytes(Ref(i % 16 * 64))
+			}
+		})
 	}
 }

@@ -247,14 +247,14 @@ type TierOptions struct {
 	// SegmentRows is the rows per sealed segment (default 1024; rounded to a
 	// multiple of 64).
 	SegmentRows int
-	// CacheSegments caps how many spilled segments one arena keeps faulted
-	// in at a time (default 4).
-	CacheSegments int
 	// MemCapBytes, when > 0, is the resident-state budget driving the
-	// degradation ladder: sealed segments spill as residency approaches the
-	// cap, sources throttle when spilling cannot keep up, and (under the
-	// serving engine) new registrations are rejected at the cap. Unlike
-	// MemLimitPerTask — which aborts — the cap degrades.
+	// degradation ladder: as residency approaches the cap the coldest
+	// resident segments are evicted (spilled once, or dropped when a clean
+	// copy is already in the store), sources throttle when eviction cannot
+	// keep up, and (under the serving engine) new registrations are
+	// rejected at the cap. Unlike MemLimitPerTask — which aborts — the cap
+	// degrades. Without a cap every sealed segment spills at seal and each
+	// arena keeps a few faulted-in segments resident.
 	MemCapBytes int64
 	// SpillDir, when set (and Store is nil), spills segments to files in
 	// this directory. With both empty, segments spill to an in-process
@@ -600,11 +600,10 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 			pressure = slab.NewPressure(to.MemCapBytes)
 		}
 		tier = &slab.TierConfig{
-			SegmentRows:   to.SegmentRows,
-			Store:         store,
-			CacheSegments: to.CacheSegments,
-			Pressure:      pressure,
-			KeyPrefix:     joiner,
+			SegmentRows: to.SegmentRows,
+			Store:       store,
+			Pressure:    pressure,
+			KeyPrefix:   joiner,
 		}
 	}
 	useAggViews := q.Agg != nil && q.Local == DBToaster && q.Graph.IsEquiOnly() &&
