@@ -51,10 +51,11 @@ type benchReport struct {
 }
 
 // batchTransport measures what PR 1 bought: the network-hop and full-join
-// stages of Figure 5 under the legacy per-tuple transport (batch=1) and the
-// default batched transport, plus the decode allocation amortization.
+// stages of Figure 5 with one-row batches (batch=1, one envelope per tuple
+// copy) and the default batched transport, plus the decode allocation
+// amortization.
 func batchTransport() {
-	header(fmt.Sprintf("Batched transport: batch=1 (legacy) vs batch=%d (default)", dataflow.DefaultBatchSize))
+	header(fmt.Sprintf("Batched transport: batch=1 (one-row batches) vs batch=%d (default)", dataflow.DefaultBatchSize))
 	// 4x the bench_test scale: longer runs amortize additive scheduling noise
 	// on shared boxes, which otherwise inflates the (shorter) batched runs
 	// relatively more and understates the ratio.

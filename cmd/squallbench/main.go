@@ -22,20 +22,20 @@
 // recovery stops beating disk recovery, or when the recovered run's
 // end-to-end overhead reaches 25% (the CI gate).
 //
-// The `exec` experiment (PR 5) compares the packed-row execution path
-// (wire.Cursor views, lowered predicates, frame transport, blitted slab
-// inserts) against the boxed tuple pipeline: per-tuple cost and allocations
-// on the source -> join hot path, plus end-to-end full-join throughput at
-// the 1M-tuple point. With -json it writes BENCH_PR5.json; it exits
-// non-zero when packed execution stops paying for itself (the CI gate).
+// The `exec` experiment compares the packed-row operators
+// (wire.Cursor views, lowered predicates, blitted slab inserts) against the
+// boxed tuple operators, both built directly: per-tuple cost and
+// allocations on the source -> join hot path. With -json it writes
+// BENCH_PR5.json; it exits non-zero when packed execution stops paying for
+// itself (the CI gate).
 //
 // The `vec` experiment (PR 6) compares vectorized frame execution (column
-// footers, selection-vector kernels, group-wise frame folds) against the
-// PR 5 packed-row baseline and the boxed tuple pipeline: per-tuple cost on
-// the select/agg hot path plus the end-to-end aggregated full join in all
-// three modes. With -json it writes BENCH_PR6.json; it exits non-zero when
-// the vectorized path misses its speedup gate or any mode's results
-// diverge (the CI gate).
+// footers, selection-vector kernels, group-wise frame folds) against
+// packed-row and boxed tuple operators built directly: per-tuple cost on
+// the select/agg hot path, plus the end-to-end aggregated full join on the
+// engine's one data path. With -json it writes BENCH_PR6.json; it exits
+// non-zero when the vectorized path misses its speedup gate or the full
+// join returns the wrong number of groups (the CI gate).
 //
 // The `net` experiment (PR 7) runs the same join once in-process and once as
 // a real cluster — this binary re-executed as two squalld-style worker

@@ -31,16 +31,19 @@ type Figure5Stage struct {
 // is ~10x sel(int) (Date instances are created from strings), the network
 // hop dominates (~60%), and join computation is a small share (~14%).
 //
-// The stages run at BatchSize=1 — the per-tuple transport the figure
-// documents (Storm ships tuples individually); Figure5StagesBatch is the
-// batched-transport variant used by the PR 1 comparison harness.
+// The stages run at BatchSize=1 — one-row batches, one envelope per tuple
+// copy, the framing the figure documents (Storm ships tuples individually);
+// Figure5StagesBatch is the batched-transport variant used by the batching
+// comparison harness (`squallbench batch`).
 func Figure5Stages(gen *datagen.TPCH, machines int, seed int64) []Figure5Stage {
 	return Figure5StagesBatch(gen, machines, seed, 1)
 }
 
 // Figure5StagesBatch is Figure5Stages with an explicit transport batch size
-// (0 = engine default). batchSize=1 reproduces the legacy per-tuple
-// transport, which is how the PR 1 batching speedup is measured.
+// (0 = engine default). batchSize=1 sends one-row batches, which is how the
+// batching speedup is measured. The ReadFile stages run boxed (the first
+// three are NoSerialize, the network stage serializes boxed batches); the
+// full join runs the engine's default packed path.
 func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize int) []Figure5Stage {
 	noopInt := expr.Cmp{Op: expr.Ge, L: expr.C(1), R: expr.I(0)}                          // custkey >= 0: keeps all
 	noopDate := expr.Cmp{Op: expr.Ge, L: expr.Date{Inner: expr.C(2)}, R: expr.I(-100000)} // parses orderdate, keeps all
@@ -94,12 +97,9 @@ func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize i
 				Kind:    squall.Count,
 			},
 		}
-		// The figure decomposes the boxed pipeline's cost structure, and the
-		// PR 1 batch experiment reuses this stage as its legacy-vs-batched
-		// transport comparison: pin the boxed execution path so batchSize=1
-		// keeps measuring the per-tuple transport it documents (the packed
-		// path has its own experiment, `squallbench exec`).
-		res, err := q.Run(squall.Options{Seed: seed, SourcePar: machines, BatchSize: batchSize, PackedExec: squall.PackedOff})
+		// The batch experiment reuses this stage as its one-row vs
+		// batched transport comparison.
+		res, err := q.Run(squall.Options{Seed: seed, SourcePar: machines, BatchSize: batchSize})
 		if err != nil {
 			return 0, err
 		}

@@ -550,7 +550,7 @@ func (a *adaptState) snapshotExport(rep Repartitioner, side int, dests []int) si
 	exp := sideExport{dests: dests}
 	if !a.ex.opts.NoSerialize {
 		if fe, ok := rep.(FrameExporter); ok {
-			done := fe.ExportStateFrames(side, a.ex.opts.BatchSize, a.ex.opts.VecExec, func(frame []byte, _ int) bool {
+			done := fe.ExportStateFrames(side, a.ex.opts.BatchSize, true, func(frame []byte, _ int) bool {
 				exp.frames = append(exp.frames, append([]byte(nil), frame...))
 				return true
 			})

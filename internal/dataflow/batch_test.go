@@ -93,40 +93,59 @@ func TestEOSFlushesPartialBatches(t *testing.T) {
 }
 
 // TestBatchSizeOnePreservesLegacySemantics: batch=1 must deliver one tuple
-// per envelope (legacy framing) and keep per-producer-task FIFO order.
+// per envelope (the per-tuple framing, now one-row batches through the
+// ordinary flush path) and keep per-producer-task FIFO order — from a boxed
+// source, from a packed RowSpout source (one-row footered frames), and on a
+// NoSerialize run (one-tuple batch slices).
 func TestBatchSizeOnePreservesLegacySemantics(t *testing.T) {
 	const n = 500
-	sink := newOrderSink()
-	topo, _ := NewBuilder().
-		Spout("src", 3, GenSpout(n, func(i int) types.Tuple {
-			return types.Tuple{types.Int(int64(i))}
-		})).
-		Bolt("sink", 1, sink.factory()).
-		Input("sink", "src", Global()).
-		Build()
-	m, err := runWithWatchdog(t, topo, Options{Seed: 7, BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
+	gen := func(i int) types.Tuple { return types.Tuple{types.Int(int64(i))} }
+	rows := make([]types.Tuple, n)
+	for i := range rows {
+		rows[i] = gen(i)
 	}
-	if sent, batches := m.TotalSent(), m.TotalBatches(); sent != batches || sent != n {
-		t.Errorf("batch=1 sent %d tuples in %d envelopes; legacy is 1:1", sent, batches)
+	cases := []struct {
+		name  string
+		spout SpoutFactory
+		opts  Options
+	}{
+		{"boxed", GenSpout(n, gen), Options{Seed: 7, BatchSize: 1}},
+		{"packed", encSpoutFactory(rows), Options{Seed: 7, BatchSize: 1}},
+		{"noserialize", GenSpout(n, gen), Options{Seed: 7, BatchSize: 1, NoSerialize: true}},
 	}
-	total := 0
-	for key, seq := range sink.seqs {
-		total += len(seq)
-		for i := 1; i < len(seq); i++ {
-			if seq[i] <= seq[i-1] {
-				t.Fatalf("pair %v out of order at %d: %v", key, i, seq[:i+1])
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := newOrderSink()
+			topo, _ := NewBuilder().
+				Spout("src", 3, tc.spout).
+				Bolt("sink", 1, sink.factory()).
+				Input("sink", "src", Global()).
+				Build()
+			m, err := runWithWatchdog(t, topo, tc.opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if total != n {
-		t.Errorf("delivered %d tuples, want %d", total, n)
+			if sent, batches := m.TotalSent(), m.TotalBatches(); sent != batches || sent != n {
+				t.Errorf("batch=1 sent %d tuples in %d envelopes; want %d, one per envelope", sent, batches, n)
+			}
+			total := 0
+			for key, seq := range sink.seqs {
+				total += len(seq)
+				for i := 1; i < len(seq); i++ {
+					if seq[i] <= seq[i-1] {
+						t.Fatalf("pair %v out of order at %d: %v", key, i, seq[:i+1])
+					}
+				}
+			}
+			if total != n {
+				t.Errorf("delivered %d tuples, want %d", total, n)
+			}
+		})
 	}
 }
 
 // TestBatchSizesProduceIdenticalOutput: the delivered multiset and the
-// per-origin order must not depend on the batch size — batch=1 (legacy), a
+// per-origin order must not depend on the batch size — batch=1 (one-row), a
 // ragged size, the default, and an everything-in-one-flush size all agree
 // tuple for tuple. Sequences are keyed by (mid task, originating src task):
 // the engine guarantees FIFO per producer→consumer pair, but not how one

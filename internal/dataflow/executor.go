@@ -37,13 +37,14 @@ type Options struct {
 	// depth; one envelope carries up to BatchSize tuples, so the in-flight
 	// tuple budget is ChannelBuf x BatchSize). When unset it defaults to
 	// max(128, 1024/BatchSize): deep enough to pipeline batched envelopes,
-	// without the legacy default's 1024 envelopes silently meaning 64x more
-	// buffered tuples than the per-tuple transport allowed.
+	// without a fixed 1024-envelope default silently meaning 64x more
+	// buffered tuples at the default batch size than at one-row batches.
 	ChannelBuf int
 	// BatchSize caps how many tuples ride in one envelope per (edge, target)
-	// before the producer flushes. Default DefaultBatchSize; 1 reproduces the
-	// legacy per-tuple transport exactly (one send and one wire frame per
-	// tuple copy, abort checked per tuple).
+	// before the producer flushes. Default DefaultBatchSize. 1 sends one-row
+	// batches through the same flush path: one envelope and one wire frame
+	// per tuple copy, in per-producer FIFO order, with the abort observed at
+	// every send. The Figure 5 transport sweep runs at 1.
 	BatchSize int
 	// MemLimitPerTask, when > 0, aborts the run with ErrMemoryOverflow if any
 	// MemReporter bolt's state exceeds this many bytes.
@@ -52,13 +53,6 @@ type Options struct {
 	// and by analytical benches where network cost must be excluded
 	// (Figure 5 isolates it explicitly instead).
 	NoSerialize bool
-	// VecExec enables vectorized frame execution (PR 6): producers append a
-	// column-offset footer to every packed frame they flush, and consumers
-	// implementing FrameBolt receive whole frames instead of a per-row walk.
-	// Off reproduces the PR 5 packed transport bit for bit. Frame delivery is
-	// disabled per task on recovery-protected and adaptive bolts, whose
-	// control planes need per-row delivery bookkeeping.
-	VecExec bool
 	// Adaptive, when set, runs one 2-way join component as a live adaptive
 	// 1-Bucket operator: its input edges route by the policy's matrix, a
 	// controller reshapes the matrix as the observed size ratio drifts, and
@@ -102,14 +96,12 @@ type Options struct {
 }
 
 // envelope is one channel message: a batch of tuples sharing provenance
-// (same producer task, same stream), a single inline tuple (the legacy
-// BatchSize=1 framing, which must not pay a slice allocation per tuple), a
-// packed frame of wire-encoded rows (EmitRow's zero-materialization
-// transport, PR 5), an EOS marker, or a control message (adaptive barrier /
-// migration traffic, or recovery kill / restore traffic).
+// (same producer task, same stream), a packed frame of wire-encoded rows
+// (EmitRow's zero-materialization transport), an EOS marker, or a control
+// message (adaptive barrier / migration traffic, or recovery kill / restore
+// traffic).
 type envelope struct {
-	batch  []types.Tuple
-	single types.Tuple
+	batch []types.Tuple
 	// frame is a wire batch frame (varint(count) + encoded rows) shipped
 	// without decoding; count is its row count. RowBolt consumers walk it
 	// with a cursor, everyone else receives it decoded.
@@ -163,8 +155,8 @@ func releaseEnv(env *envelope) {
 // appended back to back after hdrRoom reserved bytes, where flushRow stamps
 // the frame's count varint. box is the pool box the buffer came from; it
 // travels in the flushed envelope so the consumer's return trip reuses it.
-// Under VecExec, foot accumulates the column-offset footer as rows land, so
-// the flush appends it without re-scanning the frame.
+// foot accumulates the column-offset footer as rows land, so the flush
+// appends it without re-scanning the frame (every packed frame carries one).
 type rowBatch struct {
 	box   *[]byte
 	buf   []byte
@@ -205,9 +197,6 @@ type Collector struct {
 	rowCur   wire.Cursor
 	routeT   types.Tuple
 	hdrRoom  int
-	// vec mirrors Options.VecExec: EmitRow feeds each pending frame's footer
-	// builder and flushRow appends the footer before shipping.
-	vec bool
 	// adaptSide[edge] is the adaptive side (0 = R, 1 = S) of each outgoing
 	// edge, -1 for normal edges; nil when this node has no adaptive edges.
 	adaptSide []int
@@ -259,9 +248,6 @@ func (c *Collector) recExit() {
 // tuples-are-immutable convention (types.Tuple) is load-bearing here.
 func (c *Collector) Emit(t types.Tuple) error {
 	c.metrics.Emitted.Add(1)
-	if c.batchSize == 1 {
-		return c.emitLegacy(t)
-	}
 	for ei, e := range c.node.outputs {
 		if c.adaptSide != nil && c.adaptSide[ei] >= 0 {
 			if err := c.emitAdaptiveGated(ei, c.adaptSide[ei], t); err != nil {
@@ -359,9 +345,7 @@ func (c *Collector) EmitRow(row []byte) error {
 			if rb.buf == nil {
 				c.newRowBuf(rb)
 			}
-			if c.vec {
-				rb.foot.AddRow(len(rb.buf)-c.hdrRoom, &c.rowCur)
-			}
+			rb.foot.AddRow(len(rb.buf)-c.hdrRoom, &c.rowCur)
 			rb.buf = append(rb.buf, row...)
 			rb.count++
 			if rb.count >= c.batchSize {
@@ -402,9 +386,7 @@ func (c *Collector) newRowBuf(rb *rowBatch) {
 		buf = make([]byte, c.hdrRoom, c.hdrRoom+512)
 	}
 	rb.box, rb.buf = p, buf[:c.hdrRoom]
-	if c.vec {
-		rb.foot.Reset()
-	}
+	rb.foot.Reset()
 }
 
 // flushRow ships the pending packed frame of one (edge, target) buffer: the
@@ -428,12 +410,10 @@ func (c *Collector) flushRow(ei, target int) error {
 			defer c.recExit()
 		}
 	}
-	if c.vec {
-		// The footer's offsets are relative to the rows region, so appending
-		// it before the count varint is stamped is safe regardless of the
-		// varint's width.
-		rb.buf = rb.foot.Append(rb.buf)
-	}
+	// The footer's offsets are relative to the rows region, so appending it
+	// before the count varint is stamped is safe regardless of the varint's
+	// width.
+	rb.buf = rb.foot.Append(rb.buf)
 	var hdr [10]byte
 	hl := binary.PutUvarint(hdr[:], uint64(rb.count))
 	start := c.hdrRoom - hl
@@ -499,86 +479,6 @@ func (c *Collector) emitAdaptiveGated(ei, side int, t types.Tuple) error {
 		}
 	}
 	return c.emitAdaptive(ei, side, t)
-}
-
-// emitLegacy is the BatchSize=1 transport, kept bit- and cost-faithful to
-// the pre-batching engine as the batching baseline: encode once per emit,
-// decode once per destination, one inline-tuple envelope per copy, nothing
-// buffered (so EOS has nothing to flush and aborts are observed per tuple).
-func (c *Collector) emitLegacy(t types.Tuple) error {
-	encoded := false
-	// One retained replay payload backs every tracked destination of this
-	// tuple (mirrors flushAdaptive's sharedFrame).
-	var trackedFrame []byte
-	var trackedTuples []types.Tuple
-	for ei, e := range c.node.outputs {
-		if c.adaptSide != nil && c.adaptSide[ei] >= 0 {
-			if err := c.emitAdaptiveGated(ei, c.adaptSide[ei], t); err != nil {
-				return err
-			}
-			continue
-		}
-		tracked := c.recTracked != nil && c.recTracked[ei]
-		if tracked {
-			// One gate session covers every destination of the tuple: a
-			// recovery round must never observe a replicated tuple delivered
-			// to some copies but not others.
-			entered, ok := c.recEnter()
-			if !ok {
-				return c.ex.abortErr()
-			}
-			if entered {
-				defer c.recExit()
-			}
-		}
-		c.tbuf = e.grouping.Targets(t, e.to.par, c.rng, c.tbuf[:0])
-		for _, target := range c.tbuf {
-			if target < 0 || target >= e.to.par {
-				return fmt.Errorf("dataflow: grouping on edge %s->%s chose task %d of %d", e.from.name, e.to.name, target, e.to.par)
-			}
-			out := t
-			if !c.ex.opts.NoSerialize {
-				if !encoded {
-					c.scratch = wire.Encode(c.scratch[:0], t)
-					encoded = true
-				}
-				// Each destination receives its own deserialized copy,
-				// exactly as on a real network.
-				var err error
-				out, _, err = wire.Decode(c.scratch)
-				if err != nil {
-					return fmt.Errorf("dataflow: wire corruption on %s->%s: %w", e.from.name, e.to.name, err)
-				}
-				c.metrics.BytesOut.Add(int64(len(c.scratch)))
-			}
-			c.metrics.Sent.Add(1)
-			c.metrics.Batches.Add(1)
-			env := envelope{stream: c.node.name, from: c.task, single: out}
-			if tracked {
-				ent := replayEnt{count: 1}
-				if c.ex.opts.NoSerialize {
-					if trackedTuples == nil {
-						trackedTuples = []types.Tuple{t}
-					}
-					ent.tuples = trackedTuples
-				} else {
-					if trackedFrame == nil {
-						trackedFrame = append([]byte(nil), c.scratch...)
-					}
-					ent.frame = trackedFrame
-					ent.single = true
-				}
-				c.recSeq[ei][target]++
-				env.seq = c.recSeq[ei][target]
-				ent.seq = env.seq
-				c.ex.rec.record(c.recPid, target, ent)
-			}
-			if !c.ex.send(e.to, target, env) {
-				return c.ex.abortErr()
-			}
-		}
-	}
-	return nil
 }
 
 // flush ships the pending batch of one (edge, target) buffer downstream. On
@@ -1035,7 +935,6 @@ func (ex *execution) collector(n *node, task int) *Collector {
 		pout:       pout,
 		rowGroup:   rowGroup,
 		hdrRoom:    hdrRoom,
-		vec:        ex.opts.VecExec,
 		adaptSide:  adaptSide,
 		adaptOut:   adaptOut,
 		recTracked: recTracked,
@@ -1212,9 +1111,8 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 	}
 	inbox := ex.inboxes[n][task]
 	processed := 0
-	one := make([]types.Tuple, 1) // consumer-owned adapter for single-tuple envelopes
-	var fdec wire.BatchDecoder    // frame decoding for non-RowBolt consumers
-	var rcur wire.Cursor          // frame row cursor
+	var fdec wire.BatchDecoder // frame decoding for non-RowBolt consumers
+	var rcur wire.Cursor       // frame row cursor
 
 	// postTuple is the shared per-tuple/per-row bookkeeping: adaptive load
 	// reports and the amortized memory check + abort poll.
@@ -1241,7 +1139,7 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 	// vecHere gates whole-frame delivery: vectorized execution stays off on
 	// recovery-protected tasks (their replay bookkeeping is per row) and on
 	// adaptive joiners (per-row load reports drive the controller).
-	vecHere := ex.opts.VecExec && rs == nil && !adaptHere
+	vecHere := rs == nil && !adaptHere
 	var deliver func(env envelope, count bool) error
 	deliver = func(env envelope, count bool) error {
 		if env.frame != nil {
@@ -1314,10 +1212,6 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 			return nil
 		}
 		batch := env.batch
-		if batch == nil {
-			one[0] = env.single
-			batch = one
-		}
 		in := Input{Stream: env.stream, FromTask: env.from}
 		if count {
 			tm.Received.Add(int64(len(batch)))
@@ -1330,11 +1224,7 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 					return err
 				}
 				if rs != nil && !rs.recovering && ex.adapt == nil && mig == nil {
-					pb := batch
-					if env.batch == nil {
-						pb = []types.Tuple{env.single} // `one` is reused; copy
-					}
-					rs.poisoned = &poisonedEnv{env: env, batch: pb, idx: i}
+					rs.poisoned = &poisonedEnv{env: env, batch: batch, idx: i}
 					return errPanicCaptured
 				}
 				return fmt.Errorf("dataflow: bolt %s[%d] panicked: %v\n%s", n.name, task, pf.val, pf.stack)
@@ -1365,7 +1255,6 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 			// always goes through the tuple path.
 			reEnv := p.env
 			reEnv.batch = p.batch[p.idx:]
-			reEnv.single = nil
 			reEnv.frame, reEnv.count = nil, 0
 			if err := deliver(reEnv, false); err != nil {
 				return err
@@ -1561,16 +1450,12 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 				}
 				if env.seq > ckptCur && env.seq <= rs.cursors[env.stream][env.from] {
 					batch := env.batch
-					switch {
-					case batch == nil && env.frame != nil:
+					if env.frame != nil {
 						var err error
 						if batch, _, err = fdec.Decode(wire.StripFooter(env.frame)); err != nil {
 							ex.fail(fmt.Errorf("dataflow: bolt %s[%d] replay frame corrupt: %w", n.name, task, err))
 							return
 						}
-					case batch == nil:
-						one[0] = env.single
-						batch = one
 					}
 					if err := bolt.(Repartitioner).ImportState(rel, batch); err != nil {
 						ex.fail(fmt.Errorf("dataflow: bolt %s[%d] replay import: %w", n.name, task, err))
@@ -1583,10 +1468,8 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 				continue // late duplicate of replayed input
 			}
 		}
-		nIn := 1
-		if env.batch != nil {
-			nIn = len(env.batch)
-		} else if env.frame != nil {
+		nIn := len(env.batch)
+		if env.frame != nil {
 			nIn = env.count
 		}
 		if err := deliver(env, true); err != nil {

@@ -184,7 +184,8 @@ func (m *RunMetrics) TotalSent() int64 {
 
 // TotalVecRows sums rows delivered through whole-frame (vectorized)
 // execution across all tasks — how much of the run the FrameBolt path
-// actually carried (0 with VecExec off).
+// actually carried (0 on boxed runs, and on recovery-protected or adaptive
+// joiner tasks, which walk frames row by row).
 func (m *RunMetrics) TotalVecRows() int64 {
 	var s int64
 	for _, c := range m.Components {

@@ -6,7 +6,7 @@
 // barriers and migrations, recovery kills and restores) process-local: the
 // manager goroutine of a protected component runs on the worker hosting it,
 // peers exchange state through ordinary inboxes, and only *data* envelopes
-// (batches, frames, singles, EOS) ever cross a socket. What the control
+// (batches, frames, EOS) ever cross a socket. What the control
 // planes need from remote workers is a small RPC set carried on the same
 // connections: gate pause/resume, quiesce tokens that flush in-flight data
 // ahead of control markers, replay requests against remote producers' replay
@@ -41,11 +41,12 @@ import (
 var ErrLink = errors.New("cluster infrastructure failure")
 
 // Dataflow-plane message kinds (all below transport.KindUser; kind 1 is the
-// transport handshake).
+// transport handshake). Kind 4 carried one encoded tuple for the retired
+// per-tuple transport; it is never reused, so a peer that still sends it
+// fails as an unknown message kind.
 const (
 	mkFrame      byte = 2  // packed batch frame        A=node B=task C=from D=seq
 	mkBatch      byte = 3  // encoded tuple batch       A=node B=task C=from D=seq
-	mkSingle     byte = 4  // one encoded tuple         A=node B=task C=from D=seq
 	mkEOS        byte = 5  // end of stream             A=node B=task C=from
 	mkCredit     byte = 6  // flow-control grant        A=node B=task C=count
 	mkAbort      byte = 7  // run failed here           Payload=error text
@@ -164,6 +165,7 @@ type NetPlane struct {
 	ex       *execution
 	preErr   error
 	pending  []pendMsg
+	draining bool // bind is handling pending; read loops keep parking
 	nodeIdx  map[string]int
 	nodes    []*node
 	stagings map[stageKey]*staging
@@ -306,13 +308,21 @@ func (p *NetPlane) bind(ex *execution) error {
 		go p.gateWorker(lk, planeAdapt)
 		go p.gateWorker(lk, planeRec)
 	}
-	// Drain parked messages under the lock: a read loop observing ex != nil
-	// is thereby guaranteed the backlog has already been handled, preserving
-	// per-link arrival order.
-	for i := range p.pending {
-		p.handle(p.pending[i].lk, &p.pending[i].m)
+	// Drain parked messages before any read loop handles a new one: read
+	// loops keep parking while draining is set, preserving per-link arrival
+	// order. The handling itself runs unlocked, because a bad message fails
+	// the run and fail takes p.mu.
+	p.draining = true
+	for len(p.pending) > 0 {
+		batch := p.pending
+		p.pending = nil
+		p.mu.Unlock()
+		for i := range batch {
+			p.handle(batch[i].lk, &batch[i].m)
+		}
+		p.mu.Lock()
 	}
-	p.pending = nil
+	p.draining = false
 	return nil
 }
 
@@ -328,7 +338,7 @@ func (p *NetPlane) readLoop(lk *netLink) {
 			return
 		}
 		p.mu.Lock()
-		if p.ex == nil {
+		if p.ex == nil || p.draining {
 			c := m
 			c.Payload = append([]byte(nil), m.Payload...)
 			p.pending = append(p.pending, pendMsg{lk, c})
@@ -355,7 +365,7 @@ func (p *NetPlane) handle(lk *netLink, m *transport.Msg) {
 	switch m.Kind {
 	case mkCredit:
 		lk.credit(flowKey(int(m.A), int(m.B)), p.window).Grant(int(m.C))
-	case mkFrame, mkBatch, mkSingle, mkEOS:
+	case mkFrame, mkBatch, mkEOS:
 		p.recvData(lk, m)
 	case mkToken:
 		// A flush token rides the data path: staged behind every data message
@@ -453,13 +463,6 @@ func (p *NetPlane) recvData(lk *netLink, m *transport.Msg) {
 			*box = append((*box)[:0], m.Payload...)
 			env.frame, env.pframe = *box, box
 		}
-	case mkSingle:
-		t, _, err := wire.Decode(m.Payload)
-		if err != nil {
-			p.fail(fmt.Errorf("dataflow: worker %d sent a malformed tuple for %s[%d]: %w", lk.worker, n.name, task, err))
-			return
-		}
-		env.single = t
 	case mkBatch:
 		if env.seq > 0 {
 			t, _, err := lk.dec.Decode(m.Payload)
@@ -580,14 +583,10 @@ func (p *NetPlane) sendRemote(to *node, task int, env envelope) bool {
 	case env.frame != nil:
 		m.Kind = mkFrame
 		m.Payload = env.frame
-	case env.batch != nil:
+	default:
 		m.Kind = mkBatch
 		scratch = getFrameBox()
 		m.Payload = wire.EncodeBatch((*scratch)[:0], env.batch)
-	default:
-		m.Kind = mkSingle
-		scratch = getFrameBox()
-		m.Payload = wire.Encode((*scratch)[:0], env.single)
 	}
 	err := lk.conn.WriteMsg(&m)
 	if scratch != nil {
@@ -857,9 +856,6 @@ func (p *NetPlane) serveReplay(lk *netLink, req replayReq) {
 					return
 				}
 				m := transport.Msg{Kind: mkFrame, Stream: e.from.name, A: int64(ni), B: int64(req.Victim), C: int64(t), D: ent.seq, Payload: ent.frame}
-				if ent.single {
-					m.Kind = mkSingle
-				}
 				if !lk.credit(flowKey(ni, req.Victim), p.window).Acquire(ex.abort) {
 					return
 				}

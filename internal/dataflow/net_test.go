@@ -21,6 +21,7 @@ import (
 	"squall/internal/recovery"
 	"squall/internal/transport"
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 // dialMesh opens a full loopback-TCP mesh between n in-process workers.
@@ -173,7 +174,6 @@ func TestNetLinearPipeline(t *testing.T) {
 		{"two-workers", 2, map[string]int{"src": 0, "double": 1, "sink": 0}, Options{Seed: 1}},
 		{"three-workers-chain", 3, map[string]int{"src": 0, "double": 1, "sink": 2}, Options{Seed: 1}},
 		{"per-tuple", 2, map[string]int{"src": 1, "double": 0, "sink": 1}, Options{Seed: 1, BatchSize: 1}},
-		{"vecexec", 2, map[string]int{"src": 0, "double": 1, "sink": 0}, Options{Seed: 1, VecExec: true}},
 		{"tiny-window", 2, map[string]int{"src": 0, "double": 1, "sink": 0}, Options{Seed: 1, ChannelBuf: 2, BatchSize: 8}},
 	}
 	for _, tc := range cases {
@@ -201,6 +201,36 @@ func TestNetNoSerializeRejected(t *testing.T) {
 	_, err := Run(topo, Options{Seed: 1, NoSerialize: true, Net: p})
 	if err == nil || !strings.Contains(err.Error(), "NoSerialize") {
 		t.Fatalf("err = %v, want NoSerialize rejection", err)
+	}
+}
+
+// TestNetRetiredKindRejected: message kind 4 carried one encoded tuple for
+// the retired per-tuple transport and is never reused. A peer that still
+// sends it must fail the run as an unknown message kind, not be decoded.
+func TestNetRetiredKindRejected(t *testing.T) {
+	mesh := dialMesh(t, 2)
+	defer func() {
+		for _, row := range mesh {
+			for _, c := range row {
+				if c != nil {
+					c.Close()
+				}
+			}
+		}
+	}()
+	// Worker 1 hosts the bolts and waits for the source's EOS from worker
+	// 0, which sends the retired kind instead.
+	topo, _ := ledgerTopo(t, intRows(8), passBolt)
+	p := NewNetPlane(NetConfig{Self: 1, Workers: 2, Place: map[string]int{"src": 0, "double": 1, "sink": 1}, Links: mesh[1]})
+	defer p.Shutdown()
+	const retiredKind = 4
+	msg := transport.Msg{Kind: retiredKind, Stream: "src", A: 1, Payload: wire.Encode(nil, intRows(1)[0])}
+	if err := mesh[0][1].WriteMsg(&msg); err != nil {
+		t.Fatal(err)
+	}
+	_, err := runWithWatchdog(t, topo, Options{Seed: 1, Net: p})
+	if err == nil || !strings.Contains(err.Error(), "unknown message kind 4") {
+		t.Fatalf("err = %v, want unknown message kind 4", err)
 	}
 }
 

@@ -63,7 +63,6 @@ func TestPoolLedgerCleanRuns(t *testing.T) {
 		{"packed", Options{Seed: 1}},
 		{"per-tuple", Options{Seed: 1, BatchSize: 1}},
 		{"noserialize", Options{Seed: 1, NoSerialize: true}},
-		{"vecexec", Options{Seed: 1, VecExec: true}},
 		{"tiny-buf", Options{Seed: 1, ChannelBuf: 2, BatchSize: 4}},
 	}
 	for _, tc := range cases {

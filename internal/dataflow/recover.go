@@ -183,7 +183,6 @@ type recMsg struct {
 type replayEnt struct {
 	seq    int64
 	frame  []byte        // encoded payload (nil on the NoSerialize path)
-	single bool          // frame holds one wire.Encode tuple, not a batch
 	tuples []types.Tuple // NoSerialize payload
 	count  int
 }
@@ -213,8 +212,8 @@ type recState struct {
 	// below which entries are pruned. bufMus[pid] guards that producer's
 	// buffers: a pid's buffers are written only by its own (single-threaded)
 	// producer task and read only by the manager during a restore, so
-	// per-producer locks see no steady-state contention even on the
-	// BatchSize=1 path, where every tuple copy records an entry.
+	// per-producer locks see no steady-state contention even with one-row
+	// batches (BatchSize=1), where every tuple copy records an entry.
 	bufMus []sync.Mutex
 	bufs   [][][]replayEnt
 	trims  [][]atomic.Int64
@@ -644,13 +643,6 @@ func (a *recState) handleFault(f faultNote) bool {
 				switch {
 				case ent.frame == nil:
 					env.batch = ent.tuples
-				case ent.single:
-					t, _, err := wire.Decode(ent.frame)
-					if err != nil {
-						a.ex.fail(fmt.Errorf("dataflow: replay corruption on %s->%s: %w", e.from.name, a.node.name, err))
-						return false
-					}
-					env.single = t
 				default:
 					out, _, err := dec.Decode(ent.frame)
 					if err != nil {
@@ -817,7 +809,7 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 			tiered := true
 			for rel := 0; rel < a.pol.NumRels && tiered; rel++ {
 				var frames [][]byte
-				cks, relOK, err := te.ExportStateTier(rel, batch, a.ex.opts.VecExec, func(frame []byte, count int) bool {
+				cks, relOK, err := te.ExportStateTier(rel, batch, true, func(frame []byte, count int) bool {
 					frames = append(frames, append([]byte(nil), frame...))
 					ck.Tuples += int64(count)
 					return true
@@ -846,7 +838,7 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 			var frames [][]byte
 			blitted := false
 			if fe, ok := bolt.(FrameExporter); ok {
-				blitted = fe.ExportStateFrames(rel, batch, a.ex.opts.VecExec, func(frame []byte, count int) bool {
+				blitted = fe.ExportStateFrames(rel, batch, true, func(frame []byte, count int) bool {
 					frames = append(frames, append([]byte(nil), frame...))
 					ck.Tuples += int64(count)
 					return true

@@ -13,8 +13,9 @@
 // Transport is micro-batched: producers accumulate per-(edge, target)
 // batches of up to Options.BatchSize tuples and ship each batch as one
 // channel send carrying one wire frame, flushing partial batches at EOS.
-// BatchSize=1 degenerates to the legacy per-tuple transport; see DESIGN.md
-// for the framing and its interaction with the network-cost substitution.
+// BatchSize=1 sends one-row batches through the same path (one envelope per
+// tuple copy); see DESIGN.md for the framing and its interaction with the
+// network-cost substitution.
 package dataflow
 
 import (
@@ -82,13 +83,14 @@ type FrameInput struct {
 }
 
 // FrameBolt is optionally implemented by RowBolts that can consume a whole
-// packed frame at once (vectorized execution, PR 6). When Options.VecExec is
-// on, frames reaching such a bolt are delivered intact — with their
-// column-offset footer, if the producer wrote one — instead of being walked
-// row by row. ExecuteFrame must process every row of the frame, falling back
-// internally to a per-row cursor walk when the frame carries no usable
-// footer, and must leave state and emissions identical to Count ExecuteRow
-// calls.
+// packed frame at once (vectorized execution). Frames reaching such a bolt
+// are delivered intact — with their column-offset footer, if the producer
+// wrote one — instead of being walked row by row, except on
+// recovery-protected tasks and adaptive joiners, whose control planes keep
+// per-row bookkeeping. ExecuteFrame must process every row of the frame,
+// falling back internally to a per-row cursor walk when the frame carries no
+// usable footer, and must leave state and emissions identical to Count
+// ExecuteRow calls.
 type FrameBolt interface {
 	RowBolt
 	ExecuteFrame(in FrameInput, out *Collector) error

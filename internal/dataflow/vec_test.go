@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"squall/internal/recovery"
 	"squall/internal/types"
 	"squall/internal/wire"
 )
@@ -51,11 +52,12 @@ func (g *frameGather) ExecuteFrame(in FrameInput, _ *Collector) error {
 
 func (g *frameGather) Finish(*Collector) error { return nil }
 
-// TestVecExecDeliversFooteredFrames runs the packed transport with VecExec
-// on: every flushed frame must reach the FrameBolt whole, carrying a valid
-// footer, and the vectorized row count must be accounted.
+// TestVecExecDeliversFooteredFrames runs the packed transport: every flushed
+// frame must reach the FrameBolt whole, carrying a valid footer, and the
+// vectorized row count must be accounted. Batch size 1 sends one-row frames,
+// each with its own footer.
 func TestVecExecDeliversFooteredFrames(t *testing.T) {
-	for _, batch := range []int{3, 16, 64} {
+	for _, batch := range []int{1, 3, 16, 64} {
 		rows := packedTestRows(400)
 		sinks := make([]*frameGather, 2)
 		b := NewBuilder().
@@ -69,7 +71,7 @@ func TestVecExecDeliversFooteredFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Run(topo, Options{Seed: 5, BatchSize: batch, VecExec: true})
+		m, err := Run(topo, Options{Seed: 5, BatchSize: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,12 +104,22 @@ func TestVecExecDeliversFooteredFrames(t *testing.T) {
 	}
 }
 
-// TestVecExecOffKeepsRowPath pins the opt-out: with VecExec off a FrameBolt
-// is just a RowBolt — frames are walked per row, carry no footer, and no
-// vectorized rows are accounted (the PR 5 transport, bit for bit).
-func TestVecExecOffKeepsRowPath(t *testing.T) {
+// recFrameGather is a frameGather that can sit on a recovery-protected
+// component; its Repartitioner face keeps no state of its own.
+type recFrameGather struct{ frameGather }
+
+func (*recFrameGather) StoredCount(int) int                  { return 0 }
+func (*recFrameGather) ExportState(int) []types.Tuple        { return nil }
+func (*recFrameGather) ResetForReshape([2]bool) error        { return nil }
+func (*recFrameGather) ImportState(int, []types.Tuple) error { return nil }
+
+// TestRecoveryTaskKeepsRowPath pins where whole-frame delivery stays off: a
+// recovery-protected task's replay bookkeeping is per row, so footered
+// frames reach its FrameBolt row by row and no vectorized rows are
+// accounted.
+func TestRecoveryTaskKeepsRowPath(t *testing.T) {
 	rows := packedTestRows(200)
-	sink := &frameGather{}
+	sink := &recFrameGather{}
 	b := NewBuilder().
 		Spout("src", 1, encSpoutFactory(rows)).
 		Bolt("sink", 1, func(task, ntasks int) Bolt { return sink }).
@@ -116,15 +128,16 @@ func TestVecExecOffKeepsRowPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Run(topo, Options{Seed: 6, BatchSize: 16})
+	pol := &RecoveryPolicy{Component: "sink", RelOf: map[string]int{"src": 0}, NumRels: 1, Store: recovery.NewMemStore(), CheckpointEvery: 64}
+	m, err := Run(topo, Options{Seed: 6, BatchSize: 16, Recovery: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sink.viaFrame != 0 || sink.viaRow != len(rows) {
-		t.Fatalf("VecExec off: %d via frames, %d via rows, want 0/%d", sink.viaFrame, sink.viaRow, len(rows))
+		t.Fatalf("recovery task: %d via frames, %d via rows, want 0/%d", sink.viaFrame, sink.viaRow, len(rows))
 	}
 	if m.TotalVecRows() != 0 {
-		t.Fatalf("VecExec off accounted %d vec rows", m.TotalVecRows())
+		t.Fatalf("recovery task accounted %d vec rows", m.TotalVecRows())
 	}
 }
 
@@ -141,7 +154,7 @@ func TestVecExecFootersInvisibleToPlainBolt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(topo, Options{Seed: 7, BatchSize: 8, VecExec: true}); err != nil {
+	if _, err := Run(topo, Options{Seed: 7, BatchSize: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if len(g.Rows()) != len(rows) {

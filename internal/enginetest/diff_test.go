@@ -3,16 +3,12 @@ package enginetest
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"squall"
-	"squall/internal/dataflow"
 	"squall/internal/expr"
 	"squall/internal/recovery"
-	"squall/internal/types"
 )
 
 var (
@@ -34,12 +30,46 @@ func (s *spillStore) GetSegment(key string) ([]byte, bool, error) {
 	return s.MemStore.GetSegment(key)
 }
 
+// variant is a run setting the differential matrix crosses with
+// EngineConfig points: apply (nil for none) edits the planned options, and
+// the cell is named ec.name(exec)+suffix.
+type variant struct {
+	exec, suffix string
+	apply        func(*squall.Options)
+}
+
+// cell names one configuration run under v.
+func (v variant) cell(ec EngineConfig) string { return ec.name(v.exec) + v.suffix }
+
+// plan is Workload.Plan with v applied.
+func (v variant) plan(w *Workload, ec EngineConfig) (*squall.JoinQuery, squall.Options) {
+	q, opts := w.Plan(ec)
+	if v.apply != nil {
+		v.apply(&opts)
+	}
+	return q, opts
+}
+
+var (
+	plain = variant{exec: "vec"}
+	// boxed runs the boxed operator pipeline, which NoSerialize runs take:
+	// boxed spouts, the join and aggregation bolts' tuple faces, and tuple
+	// batches handed over without a wire hop.
+	boxed = variant{exec: "boxed", apply: func(o *squall.Options) { o.NoSerialize = true }}
+	// twoSources gives every source two tasks, so each consumer merges two
+	// producers per stream: interleaved frames, per-producer replay cursors
+	// under a kill, and two live producers per adaptive edge.
+	twoSources = variant{exec: "vec", suffix: "/sources=2", apply: func(o *squall.Options) { o.SourcePar = 2 }}
+
+	allVariants = []variant{plain, boxed, twoSources}
+)
+
 // runCell runs one configuration and returns its result bag. A tiered
 // (Spill) cell must move state through its spill store: runCell fails it
 // when no sealed segment reached the store, and returns how many spilled
 // segments were faulted back in.
-func runCell(w *Workload, ec EngineConfig) (map[string]int, *squall.Result, int64, error) {
-	q, opts := w.Plan(ec)
+func runCell(w *Workload, ec EngineConfig, v variant) (map[string]int, *squall.Result, int64, error) {
+	q, opts := v.plan(w, ec)
 	var ss *spillStore
 	if ec.Spill {
 		ss = &spillStore{MemStore: recovery.NewMemStore()}
@@ -63,16 +93,12 @@ func runCell(w *Workload, ec EngineConfig) (map[string]int, *squall.Result, int6
 	return bag, res, faults, nil
 }
 
-// sealsEarly reports whether a two-machine workload is large enough that
-// every joiner arena seals a 64-row segment well before its last probe, so
-// a tiered cell must fault spilled state back in. Smaller workloads seal
-// at most near their tail.
-func sealsEarly(rowsPerRel int) bool { return rowsPerRel >= 200 }
-
 // TestDifferentialAllConfigs is the harness proper: randomized workloads
 // through every (scheme x local join x batch size x adaptive on/off x
-// resident/tiered state) combination, bag-compared against the nested-loop
-// oracle. Seeds are logged so any failure reproduces by pinning the seed.
+// resident/tiered state) combination, each also run boxed and with two
+// tasks per source (adaptive ones at one batch point), bag-compared against
+// the nested-loop oracle. Seeds are logged so any failure reproduces by
+// pinning the seed.
 func TestDifferentialAllConfigs(t *testing.T) {
 	cases := []struct {
 		name               string
@@ -81,7 +107,7 @@ func TestDifferentialAllConfigs(t *testing.T) {
 		theta              bool
 	}{
 		{"2way-equi", 11, 2, 200, 25, false},
-		{"2way-theta", 12, 2, 120, 20, true},
+		{"2way-theta", 12, 2, 200, 20, true},
 		{"3way-chain", 13, 3, 60, 10, false},
 	}
 	for _, c := range cases {
@@ -116,57 +142,42 @@ func TestDifferentialAllConfigs(t *testing.T) {
 								if spill {
 									machines = 2
 								}
-								for _, packedOff := range []bool{false, true} {
-									if packedOff && adaptive && batch != allBatches[0] {
-										// Adaptive sources are boxed either
-										// way: one batch point covers the
-										// corner; the full cross runs
-										// packed-vs-boxed on static runs.
+								ec := EngineConfig{
+									Scheme: scheme, Local: local, BatchSize: batch,
+									Adaptive: adaptive, Spill: spill, Machines: machines, Seed: c.seed,
+								}
+								for _, v := range allVariants {
+									if v.apply != nil && adaptive && batch != allBatches[0] {
+										// Adaptive sources are boxed on every
+										// path: one batch point covers the
+										// variants' corner there.
 										continue
 									}
-									for _, vecOff := range []bool{false, true} {
-										if vecOff && packedOff {
-											// The boxed pipeline carries no
-											// frames: vec on/off is the same
-											// engine there.
-											continue
+									name := v.cell(ec)
+									t.Run(name, func(t *testing.T) {
+										got, res, faults, err := runCell(w, ec, v)
+										if err != nil {
+											t.Fatalf("seed=%d %s: %v", c.seed, name, err)
 										}
-										if vecOff && adaptive && batch != allBatches[0] {
-											// Same corner pruning as boxed: the
-											// full vec-vs-packed cross runs on
-											// static runs.
-											continue
+										if spill && faults == 0 {
+											t.Fatalf("seed=%d %s: no spilled segment was faulted back in", c.seed, name)
 										}
-										ec := EngineConfig{
-											Scheme: scheme, Local: local, BatchSize: batch,
-											Adaptive: adaptive, PackedOff: packedOff, VecOff: vecOff,
-											Spill: spill, Machines: machines, Seed: c.seed,
+										if diff := DiffBags(ref, got); diff != "" {
+											t.Fatalf("seed=%d %s: engine diverges from oracle:\n%s", c.seed, name, diff)
 										}
-										t.Run(ec.String(), func(t *testing.T) {
-											got, res, faults, err := runCell(w, ec)
-											if err != nil {
-												t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
-											}
-											if spill && sealsEarly(c.rows) && faults == 0 {
-												t.Fatalf("seed=%d %v: no spilled segment was faulted back in", c.seed, ec)
-											}
-											if diff := DiffBags(ref, got); diff != "" {
-												t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
-											}
-											vecRows := res.Metrics.TotalVecRows()
-											if vecOff || packedOff {
-												if vecRows != 0 {
-													t.Fatalf("seed=%d %v: %d rows through frame execution on a vec-off run", c.seed, ec, vecRows)
-												}
-											} else if batch > 1 && !adaptive && vecRows == 0 {
-												// Frames only exist on batched
-												// transport; adaptive edges stay
-												// per-row for the reshape
-												// protocol's bookkeeping.
-												t.Fatalf("seed=%d %v: vec run carried no rows through frame execution", c.seed, ec)
-											}
-										})
-									}
+										vecRows := res.Metrics.TotalVecRows()
+										switch {
+										case v.exec == boxed.exec && vecRows != 0:
+											t.Fatalf("seed=%d %s: %d rows through frame execution on a boxed run", c.seed, name, vecRows)
+										case v.exec != boxed.exec && !adaptive && vecRows == 0:
+											// Every packed frame carries a
+											// footer, one-row frames included;
+											// only the adaptive joiner walks
+											// frames per row for the reshape
+											// protocol's bookkeeping.
+											t.Fatalf("seed=%d %s: run carried no rows through frame execution", c.seed, name)
+										}
+									})
 								}
 							}
 						}
@@ -180,9 +191,9 @@ func TestDifferentialAllConfigs(t *testing.T) {
 // TestDifferentialAggViews closes the aggregate-view carve-out: the
 // DBToaster aggregate views (AggJoin in the joiners plus the merge bolt) run
 // a grouped COUNT and SUM over a 3-way chain through every hypercube scheme,
-// packed and boxed execution and tuple-at-a-time vs batched transport, and
-// every group must match the nested-loop oracle: counts exactly, sums to
-// 1e-9 relative.
+// packed and boxed execution (the boxed path is the one NoSerialize runs
+// take) and one-row vs batched transport, and every group must match the
+// nested-loop oracle: counts exactly, sums to 1e-9 relative.
 func TestDifferentialAggViews(t *testing.T) {
 	const seed = 17
 	w := RandomWorkload(seed, 3, 100, 10, false)
@@ -198,11 +209,12 @@ func TestDifferentialAggViews(t *testing.T) {
 		}
 		for _, scheme := range allSchemes {
 			for _, batch := range []int{1, 0} {
-				for _, packedOff := range []bool{false, true} {
+				for _, v := range []variant{plain, boxed} {
 					ec := EngineConfig{Scheme: scheme, Local: squall.DBToaster, BatchSize: batch,
-						PackedOff: packedOff, Machines: 6, Seed: seed}
-					t.Run(fmt.Sprintf("%v/%v", agg.Kind, ec), func(t *testing.T) {
-						got, res, err := w.RunAgg(ec, agg)
+						Machines: 6, Seed: seed}
+					t.Run(fmt.Sprintf("%v/%s", agg.Kind, v.cell(ec)), func(t *testing.T) {
+						q, opts := v.plan(w, ec)
+						got, res, err := RunAgg(q, opts, agg)
 						if err != nil {
 							t.Fatalf("seed=%d %v: %v", seed, ec, err)
 						}
@@ -264,11 +276,11 @@ func TestDifferentialSpill(t *testing.T) {
 							Spill: true, Kill: kill, Machines: 2, Seed: c.seed,
 						}
 						t.Run(ec.String(), func(t *testing.T) {
-							got, _, faults, err := runCell(w, ec)
+							got, _, faults, err := runCell(w, ec, plain)
 							if err != nil {
 								t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
 							}
-							if sealsEarly(c.rows) && faults == 0 {
+							if faults == 0 {
 								t.Fatalf("seed=%d %v: no spilled segment was faulted back in", c.seed, ec)
 							}
 							if diff := DiffBags(ref, got); diff != "" {
@@ -312,11 +324,11 @@ func TestSpillActuallySpills(t *testing.T) {
 
 // TestDifferentialChaosKill is the fault-tolerance acceptance matrix: every
 // (scheme x local join x batch x adaptive x resident/tiered state)
-// configuration runs with
-// one joiner task killed at a seeded point and must stay bag-equal to the
-// nested-loop oracle — the kill is recovered live (peer refetch where the
-// scheme replicates, checkpoint + replay elsewhere), never surfaced as an
-// error.
+// configuration, plus the boxed and two-source variants at batch 64 on
+// resident state, runs with one joiner task killed at a seeded point and
+// must stay bag-equal to the nested-loop oracle — the kill is recovered
+// live (peer refetch where the scheme replicates, checkpoint + replay
+// elsewhere), never surfaced as an error.
 func TestDifferentialChaosKill(t *testing.T) {
 	cases := []struct {
 		name               string
@@ -325,7 +337,7 @@ func TestDifferentialChaosKill(t *testing.T) {
 		theta              bool
 	}{
 		{"2way-equi", 31, 2, 220, 25, false},
-		{"2way-theta", 32, 2, 120, 20, true},
+		{"2way-theta", 32, 2, 200, 20, true},
 		{"3way-chain", 33, 3, 60, 10, false},
 	}
 	for _, c := range cases {
@@ -348,56 +360,40 @@ func TestDifferentialChaosKill(t *testing.T) {
 									// Tiered state under chaos (checkpoints
 									// reference sealed segments): 2-way
 									// workloads only, as in
-									// TestDifferentialAllConfigs, on the vec
-									// default at every batch point.
+									// TestDifferentialAllConfigs, at every
+									// batch point.
 									continue
 								}
 								machines := 6
 								if spill {
 									machines = 2
 								}
-								for _, packedOff := range []bool{false, true} {
-									if packedOff && (spill || adaptive || batch != allBatches[2]) {
-										// Boxed exec under chaos: the corners
-										// are covered at one batch point each;
-										// the packed default runs the full
-										// kill matrix (packed frames in replay
-										// buffers, packed flushes through the
-										// pause gate).
+								ec := EngineConfig{
+									Scheme: scheme, Local: local, BatchSize: batch,
+									Adaptive: adaptive, Kill: true, Spill: spill, Machines: machines, Seed: c.seed,
+								}
+								for _, v := range allVariants {
+									if v.apply != nil && (spill || batch != allBatches[2]) {
+										// The variants' kill corners run at
+										// one batch point on resident state.
 										continue
 									}
-									for _, vecOff := range []bool{false, true} {
-										if vecOff && (packedOff || spill || adaptive || batch != allBatches[2]) {
-											// Boxed runs carry no frames, and the
-											// corners are covered at one batch
-											// point; the vec default runs the
-											// full kill matrix (footered frames
-											// in replay buffers, frame delivery
-											// suppressed on the protected
-											// joiner).
-											continue
+									name := v.cell(ec)
+									t.Run(name, func(t *testing.T) {
+										got, res, faults, err := runCell(w, ec, v)
+										if err != nil {
+											t.Fatalf("seed=%d %s: %v", c.seed, name, err)
 										}
-										ec := EngineConfig{
-											Scheme: scheme, Local: local, BatchSize: batch,
-											Adaptive: adaptive, PackedOff: packedOff, VecOff: vecOff,
-											Kill: true, Spill: spill, Machines: machines, Seed: c.seed,
+										if spill && faults == 0 {
+											t.Fatalf("seed=%d %s: no spilled segment was faulted back in", c.seed, name)
 										}
-										t.Run(ec.String(), func(t *testing.T) {
-											got, res, faults, err := runCell(w, ec)
-											if err != nil {
-												t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
-											}
-											if spill && sealsEarly(c.rows) && faults == 0 {
-												t.Fatalf("seed=%d %v: no spilled segment was faulted back in", c.seed, ec)
-											}
-											if f := res.Metrics.Recovery.Faults.Load(); f != 1 {
-												t.Fatalf("seed=%d %v: %d faults recovered, want 1", c.seed, ec, f)
-											}
-											if diff := DiffBags(ref, got); diff != "" {
-												t.Fatalf("seed=%d %v: engine diverges from oracle after kill:\n%s", c.seed, ec, diff)
-											}
-										})
-									}
+										if f := res.Metrics.Recovery.Faults.Load(); f != 1 {
+											t.Fatalf("seed=%d %s: %d faults recovered, want 1", c.seed, name, f)
+										}
+										if diff := DiffBags(ref, got); diff != "" {
+											t.Fatalf("seed=%d %s: engine diverges from oracle after kill:\n%s", c.seed, name, diff)
+										}
+									})
 								}
 							}
 						}
@@ -440,52 +436,6 @@ func TestChaosKillMidStreamPeerRoute(t *testing.T) {
 	}
 }
 
-// drainBefore orders two single-task sources: the spout built from then
-// blocks on its first Next until the spout built from first is exhausted.
-// The wait gives up after drainWait so an aborted run (whose first source
-// never reaches its end) cannot hang the test.
-func drainBefore(first, then dataflow.SpoutFactory) (dataflow.SpoutFactory, dataflow.SpoutFactory) {
-	drained := make(chan struct{})
-	var once sync.Once
-	return func(task, ntasks int) dataflow.Spout {
-			return &signalSpout{Spout: first(task, ntasks), done: func() { once.Do(func() { close(drained) }) }}
-		}, func(task, ntasks int) dataflow.Spout {
-			return &waitSpout{Spout: then(task, ntasks), gate: drained}
-		}
-}
-
-const drainWait = 30 * time.Second
-
-type signalSpout struct {
-	dataflow.Spout
-	done func()
-}
-
-func (s *signalSpout) Next() (types.Tuple, bool) {
-	t, ok := s.Spout.Next()
-	if !ok {
-		s.done()
-	}
-	return t, ok
-}
-
-type waitSpout struct {
-	dataflow.Spout
-	gate   <-chan struct{}
-	opened bool
-}
-
-func (s *waitSpout) Next() (types.Tuple, bool) {
-	if !s.opened {
-		select {
-		case <-s.gate:
-		case <-time.After(drainWait):
-		}
-		s.opened = true
-	}
-	return s.Spout.Next()
-}
-
 // TestDifferentialAdaptiveDrift is the acceptance scenario: under a
 // heavily drifting |R| : |S| ratio the adaptive run must reshape at least
 // once, report migrated bytes, and stay bag-equal to both the oracle and
@@ -518,7 +468,7 @@ func TestDifferentialAdaptiveDrift(t *testing.T) {
 	// migration always has S rows to replicate (60 rows x 7 new cells).
 	// Run concurrently, the reshape could fire while every S row still sat
 	// in the source's per-column batches, leaving nothing to migrate.
-	q.Sources[1].Spout, q.Sources[0].Spout = drainBefore(q.Sources[1].Spout, q.Sources[0].Spout)
+	q.Sources[1].Spout, q.Sources[0].Spout = DrainBefore(q.Sources[1].Spout, q.Sources[0].Spout)
 	res, err := q.Run(squall.Options{Seed: seed, BatchSize: 16, ChannelBuf: 8})
 	if err != nil {
 		t.Fatalf("seed=%d adaptive run: %v", seed, err)

@@ -12,6 +12,8 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
+	"time"
 
 	"squall"
 	"squall/internal/dataflow"
@@ -100,11 +102,10 @@ func (w *Workload) ReferenceAgg(agg *squall.AggSpec) map[string]AggCell {
 	return out
 }
 
-// RunAgg executes one configuration with agg on top of the join and returns
-// its groups, keyed like ReferenceAgg: (group..., COUNT) rows fill Cnt,
-// (group..., SUM) rows fill Sum.
-func (w *Workload) RunAgg(c EngineConfig, agg *squall.AggSpec) (map[string]AggCell, *squall.Result, error) {
-	q, opts := w.Plan(c)
+// RunAgg runs a planned query (see Plan) with agg on top of the join and
+// returns its groups, keyed like ReferenceAgg: (group..., COUNT) rows fill
+// Cnt, (group..., SUM) rows fill Sum.
+func RunAgg(q *squall.JoinQuery, opts squall.Options, agg *squall.AggSpec) (map[string]AggCell, *squall.Result, error) {
 	q.Agg = agg
 	res, err := q.Run(opts)
 	if err != nil {
@@ -165,15 +166,6 @@ type EngineConfig struct {
 	Local     squall.LocalJoinKind
 	BatchSize int
 	Adaptive  bool
-	// PackedOff runs the boxed tuple pipeline instead of the packed-row
-	// execution default (the PR 5 opt-out), so the differential matrix
-	// covers both paths against the oracle and against each other.
-	PackedOff bool
-	// VecOff runs the packed transport without frame footers or whole-frame
-	// delivery (the PR 6 opt-out): packed rows are delivered one at a time,
-	// reproducing the PR 5 engine bit for bit. Meaningless with PackedOff —
-	// the boxed pipeline never carries frames.
-	VecOff bool
 	// Kill enables the chaos dimension (PR 4): one joiner task is killed at
 	// a seeded point mid-run and recovered live (peer refetch when the
 	// scheme replicates the relation, checkpoint + replay otherwise); the
@@ -191,17 +183,15 @@ type EngineConfig struct {
 }
 
 // String names the configuration for subtests and failure messages.
-func (c EngineConfig) String() string {
+func (c EngineConfig) String() string { return c.name("vec") }
+
+// name is String with exec naming the execution path: "vec" for the
+// engine's packed, vectorized default, "boxed" for the boxed pipeline that
+// NoSerialize runs take.
+func (c EngineConfig) name(exec string) string {
 	mode := "static"
 	if c.Adaptive {
 		mode = "adaptive"
-	}
-	exec := "vec"
-	if c.VecOff {
-		exec = "packed"
-	}
-	if c.PackedOff {
-		exec = "boxed"
 	}
 	chaos := ""
 	if c.Kill {
@@ -248,12 +238,6 @@ func (w *Workload) Plan(c EngineConfig) (*squall.JoinQuery, squall.Options) {
 		// adaptive runs observe ratios mid-stream (and every run exercises
 		// flow control).
 		ChannelBuf: 8,
-	}
-	if c.PackedOff {
-		opts.PackedExec = squall.PackedOff
-	}
-	if c.VecOff {
-		opts.VecExec = squall.VecOff
 	}
 	if c.Kill {
 		// Task 0 always exists (and is always a matrix cell in adaptive
@@ -308,4 +292,50 @@ func DiffBags(want, got map[string]int) string {
 		diffs = append(diffs[:8], fmt.Sprintf("... and %d more", len(diffs)-8))
 	}
 	return strings.Join(diffs, "\n")
+}
+
+// DrainBefore orders two single-task sources: the spout built from then
+// blocks on its first Next until the spout built from first is exhausted.
+// The wait gives up after drainWait so an aborted run (whose first source
+// never reaches its end) cannot hang its caller.
+func DrainBefore(first, then dataflow.SpoutFactory) (dataflow.SpoutFactory, dataflow.SpoutFactory) {
+	drained := make(chan struct{})
+	var once sync.Once
+	return func(task, ntasks int) dataflow.Spout {
+			return &signalSpout{Spout: first(task, ntasks), done: func() { once.Do(func() { close(drained) }) }}
+		}, func(task, ntasks int) dataflow.Spout {
+			return &waitSpout{Spout: then(task, ntasks), gate: drained}
+		}
+}
+
+const drainWait = 30 * time.Second
+
+type signalSpout struct {
+	dataflow.Spout
+	done func()
+}
+
+func (s *signalSpout) Next() (types.Tuple, bool) {
+	t, ok := s.Spout.Next()
+	if !ok {
+		s.done()
+	}
+	return t, ok
+}
+
+type waitSpout struct {
+	dataflow.Spout
+	gate   <-chan struct{}
+	opened bool
+}
+
+func (s *waitSpout) Next() (types.Tuple, bool) {
+	if !s.opened {
+		select {
+		case <-s.gate:
+		case <-time.After(drainWait):
+		}
+		s.opened = true
+	}
+	return s.Spout.Next()
 }

@@ -116,8 +116,8 @@ func runWorkloadCluster(t *testing.T, addrs []string, params clusterjobs.Workloa
 
 // TestClusterMultiProcessDifferential is the multi-process differential: a
 // coordinator plus two re-executed worker processes over loopback TCP, across
-// schemes, locals, batch sizes, both execution pipelines, the adaptive
-// reshape path and a chaos kill of the (remote) joiner.
+// schemes, locals, batch sizes, the adaptive reshape path and a chaos kill
+// of the (remote) joiner.
 func TestClusterMultiProcessDifferential(t *testing.T) {
 	addr1, _ := startWorkerProc(t)
 	addr2, _ := startWorkerProc(t)
@@ -136,8 +136,6 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 		{Scheme: squall.HashHypercube, Local: squall.DBToaster, BatchSize: 16},
 		{Scheme: squall.RandomHypercube, Local: squall.Traditional, BatchSize: 8},
 		{Scheme: squall.HybridHypercube, Local: squall.Traditional, BatchSize: 16},
-		{Scheme: squall.HashHypercube, Local: squall.Traditional, BatchSize: 16, VecOff: true},
-		{Scheme: squall.HashHypercube, Local: squall.Traditional, BatchSize: 16, PackedOff: true},
 		{Scheme: squall.HashHypercube, Local: squall.Traditional, BatchSize: 4, Kill: true},
 	}
 	for _, cfg := range configs {

@@ -39,7 +39,7 @@ func (k LocalJoinKind) String() string {
 // packed, when the local algorithm is packed-capable for this graph, makes
 // the bolt frame-capable (dataflow.RowBolt): arrivals blit into the slab
 // without a decode/re-encode round trip and delta rows leave as spliced
-// encoded bytes (squall.Options.PackedExec).
+// encoded bytes (every serialized run; NoSerialize runs stay boxed).
 //
 // tier, when non-nil, puts the base-row arenas in tiered mode (sealed,
 // checksummed, spillable segments — squall.Options.Tier).

@@ -17,7 +17,8 @@ import (
 // packed=true yields a dataflow.RowSpout: rows flow from the shared frame
 // through the compiled packed pipeline without materializing tuples (the
 // executor then drives EmitRow exactly as it does for ops.PackedSpout).
-// packed=false yields a plain boxed spout for NoSerialize/PackedOff runs.
+// packed=false yields a plain boxed spout for NoSerialize runs and adaptive
+// joins, whose source edges stay tuple-shaped.
 //
 // With SourcePar > 1 the factory's instances share the tap: tasks steal
 // whole frames from one window, which splits the stream arbitrarily but
@@ -164,7 +165,7 @@ func (s *tapRowSpout) Next() (types.Tuple, bool) {
 }
 
 // tapTupleSpout is the boxed consumer: each shared row is decoded into a
-// fresh tuple (PR 5 off / NoSerialize runs). Pre runs in the PipedSpout
+// fresh tuple (NoSerialize runs, adaptive joins). Pre runs in the PipedSpout
 // wrapper around it.
 type tapTupleSpout struct {
 	walk

@@ -10,8 +10,8 @@
 // compare through the same three-way-then-CmpHolds shape as
 // types.Value.Compare, so NaN operands yield cmp==0 (Eq holds, Lt does not)
 // on the vectorized path precisely as they do on the row path. That
-// bit-for-bit agreement is what lets enginetest cross VecExec on/off into
-// the differential matrix.
+// bit-for-bit agreement is what lets frame execution stand in for the row
+// path wherever the engine delivers whole frames.
 package vec
 
 // Sel is a selection vector: strictly increasing row indexes into one

@@ -286,7 +286,7 @@ func (e *Engine) launch(req RegisterRequest) (*ServedQuery, error) {
 	// not) and is installed raw: plan() must not re-wrap it.
 	q2 := *req.Query
 	q2.Sources = append([]Source(nil), req.Query.Sources...)
-	packed := opt.PackedExec != PackedOff && !opt.NoSerialize && !q2.AdaptiveJoin
+	_, packed := q2.packedPath(opt)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()

@@ -189,32 +189,15 @@ type Options struct {
 	// overflowing rows are counted, not stored.
 	CollectLimit int
 	// NoSerialize disables the per-hop wire simulation (micro-benchmarks).
+	// It is also the only setting that runs the boxed operator pipeline end
+	// to end (see packedPath).
 	NoSerialize bool
 	// ChannelBuf overrides the per-task inbox depth.
 	ChannelBuf int
 	// BatchSize caps tuples per transport envelope (default
-	// dataflow.DefaultBatchSize; 1 = legacy per-tuple transport).
+	// dataflow.DefaultBatchSize). 1 sends one-row batches through the same
+	// transport: one envelope per tuple copy, the framing Figure 5 documents.
 	BatchSize int
-	// PackedExec controls the packed-row execution path (PR 5): sources
-	// encode each tuple once and selections, projections, routing, transport
-	// and slab inserts all run on the encoded bytes — a tuple crossing
-	// source -> select/project -> hash-route -> join/agg insert is decoded
-	// zero times unless an operator needs a typed value. Default on
-	// (PackedDefault == PackedOn); set PackedOff to run the legacy boxed
-	// tuple pipeline, the differential/benchmark baseline. NoSerialize runs
-	// and adaptive source edges always use the boxed path (there the
-	// encoding either must not exist or must stay tuple-shaped for the
-	// migration protocol).
-	PackedExec PackedMode
-	// VecExec controls the vectorized frame execution path (PR 6): producers
-	// append a column-offset footer to every packed frame and frame-capable
-	// operators (select/project pipelines, aggregations, merges, the sink)
-	// consume whole frames with selection-vector kernels instead of row-at-a-
-	// time calls. Default on whenever packed execution runs (VecDefault ==
-	// VecOn); set VecOff to reproduce the PR 5 packed-row transport bit for
-	// bit — the differential/benchmark baseline. Meaningless without packed
-	// execution: boxed runs never carry frames.
-	VecExec VecMode
 	// Recovery enables the live fault-tolerance subsystem (PR 4) on the
 	// joiner: periodic state checkpoints, panic capture, and kill recovery
 	// by peer refetch (when the scheme replicates a relation) or checkpoint
@@ -268,30 +251,6 @@ type TierOptions struct {
 	// a per-run ladder built from MemCapBytes.
 	pressure *slab.Pressure
 }
-
-// PackedMode selects the execution path (Options.PackedExec).
-type PackedMode uint8
-
-const (
-	// PackedDefault is the zero value: packed execution on.
-	PackedDefault PackedMode = iota
-	// PackedOn forces the packed-row path explicitly.
-	PackedOn
-	// PackedOff opts out: the boxed tuple pipeline end to end.
-	PackedOff
-)
-
-// VecMode selects the vectorized frame path (Options.VecExec).
-type VecMode uint8
-
-const (
-	// VecDefault is the zero value: vectorized execution on (with packed).
-	VecDefault VecMode = iota
-	// VecOn forces the vectorized frame path explicitly.
-	VecOn
-	// VecOff opts out: packed rows delivered one at a time, no footers.
-	VecOff
-)
 
 // RecoveryOptions tune the fault-tolerance subsystem.
 type RecoveryOptions struct {
@@ -529,6 +488,19 @@ func (q *JoinQuery) Run(opt Options) (*Result, error) {
 	return p.result(metrics), runErr
 }
 
+// packedPath decides where a run of q takes the packed-row path, for plan
+// and for the serving engine's source taps alike. Operators run packed (and
+// frames carry column footers for whole-frame execution) unless the run is
+// NoSerialize, where the encoding must not exist. Sources are
+// packed under the same condition except on adaptive joins: the adaptive
+// edges' coordinate buffers and migration protocol are tuple-shaped, so a
+// packed source would pay encode+decode per tuple for nothing — the joiner
+// itself stays frame-capable.
+func (q *JoinQuery) packedPath(opt Options) (operators, sources bool) {
+	operators = !opt.NoSerialize
+	return operators, operators && !q.AdaptiveJoin
+}
+
 // plan translates the query into a ready-to-run dataflow topology.
 func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 	hc, err := q.BuildScheme()
@@ -542,19 +514,14 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 		opt.FinalPar = 1
 	}
 
-	// Packed execution (PR 5): on by default, off for NoSerialize runs (the
-	// encoding must not exist there). Sources stay boxed on adaptive runs —
-	// the adaptive edges' coordinate buffers and migration protocol are
-	// tuple-shaped, so a packed source would pay encode+decode per tuple
-	// for nothing — but the joiner itself stays frame-capable.
-	packed := opt.PackedExec != PackedOff && !opt.NoSerialize
+	packed, packedSources := q.packedPath(opt)
 	b := dataflow.NewBuilder()
 	relOf := map[string]int{}
 	for i, s := range q.Sources {
 		spout := ops.PipedSpout(s.Spout, s.Pre)
 		if s.raw {
 			spout = s.Spout
-		} else if packed && !q.AdaptiveJoin {
+		} else if packedSources {
 			spout = ops.PackedSpout(s.Spout, s.Pre)
 		}
 		b.Spout(s.Name, opt.SourcePar, spout)
@@ -727,7 +694,6 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 			BatchSize:       opt.BatchSize,
 			MemLimitPerTask: opt.MemLimitPerTask,
 			NoSerialize:     opt.NoSerialize,
-			VecExec:         packed && opt.VecExec != VecOff,
 			Adaptive:        policy,
 			Recovery:        recPolicy,
 			Pressure:        pressure,

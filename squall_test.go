@@ -191,11 +191,12 @@ func TestCollectLimitCapsRowsNotCount(t *testing.T) {
 	}
 }
 
-// TestVecExecAgreesWithVecOff runs the same query on the vectorized frame
-// path and on the PR 5 packed-row baseline: aggregates must agree, the vec
-// run must actually carry rows through whole-frame execution, and the off
-// run must carry none.
-func TestVecExecAgreesWithVecOff(t *testing.T) {
+// TestVecExecAgreesWithBoxed runs the same query on the default engine
+// (packed rows, footered frames, whole-frame execution) and on the boxed
+// tuple path a NoSerialize run takes: aggregates must agree, the default run
+// must actually carry rows through whole-frame execution, and the boxed run
+// must carry none.
+func TestVecExecAgreesWithBoxed(t *testing.T) {
 	for _, local := range []squall.LocalJoinKind{squall.Traditional, squall.DBToaster} {
 		// ForceDeltaJoin keeps the downstream aggregation (the frame-capable
 		// operator) in the plan for both locals; the DBToaster aggregate-view
@@ -205,14 +206,14 @@ func TestVecExecAgreesWithVecOff(t *testing.T) {
 			q.ForceDeltaJoin = true
 			return q
 		}
-		on := runOrFail(t, mkQuery(), squall.Options{Seed: 9, VecExec: squall.VecOn})
-		off := runOrFail(t, mkQuery(), squall.Options{Seed: 9, VecExec: squall.VecOff})
-		aggRowsEqual(t, local.String(), on.SortedRows(), off.SortedRows())
+		on := runOrFail(t, mkQuery(), squall.Options{Seed: 9})
+		boxed := runOrFail(t, mkQuery(), squall.Options{Seed: 9, NoSerialize: true})
+		aggRowsEqual(t, local.String(), on.SortedRows(), boxed.SortedRows())
 		if on.Metrics.TotalVecRows() == 0 {
-			t.Errorf("%v: VecOn run carried no rows through frame execution", local)
+			t.Errorf("%v: default run carried no rows through frame execution", local)
 		}
-		if n := off.Metrics.TotalVecRows(); n != 0 {
-			t.Errorf("%v: VecOff run carried %d rows through frame execution", local, n)
+		if n := boxed.Metrics.TotalVecRows(); n != 0 {
+			t.Errorf("%v: boxed run carried %d rows through frame execution", local, n)
 		}
 	}
 }
@@ -221,7 +222,7 @@ func TestVecExecAgreesWithVecOff(t *testing.T) {
 // still see every output row while collection stops at the limit.
 func TestVecExecCollectLimit(t *testing.T) {
 	q := tpch9Query(squall.HybridHypercube, squall.DBToaster, 0, 4)
-	res := runOrFail(t, q, squall.Options{Seed: 4, CollectLimit: 5, VecExec: squall.VecOn})
+	res := runOrFail(t, q, squall.Options{Seed: 4, CollectLimit: 5})
 	if len(res.Rows) > 5 {
 		t.Errorf("collected %d rows, limit 5", len(res.Rows))
 	}
